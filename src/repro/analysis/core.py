@@ -23,6 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.uml import semantics
+from repro.uml.actions import BinaryOp, BoolLiteral, Conditional, IntLiteral, UnaryOp
+
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
@@ -266,34 +269,22 @@ class LintContext:
 def const_value(expr) -> Optional[int]:
     """Constant-fold an action-language expression; ``None`` = not constant.
 
-    Booleans fold to 0/1.  Logical operators short-circuit on a constant
-    deciding side even when the other side is non-constant, matching the
-    interpreter.  Division/modulo by a folded zero does not fold (the
-    div-by-zero rule reports it instead).
+    Operators mean what :mod:`repro.uml.semantics` says, as in the
+    simulator.  Booleans fold to 0/1.  Logical operators short-circuit on a
+    constant deciding side even when the other side is non-constant.
+    Division/modulo by a folded zero does not fold (the div-by-zero rule
+    reports it instead).
     """
-    from repro.uml.actions import (
-        BinaryOp,
-        BoolLiteral,
-        Conditional,
-        IntLiteral,
-        UnaryOp,
-    )
-
     if isinstance(expr, IntLiteral):
         return expr.value
     if isinstance(expr, BoolLiteral):
         return 1 if expr.value else 0
     if isinstance(expr, UnaryOp):
         operand = const_value(expr.operand)
-        if operand is None:
+        op = semantics.UNARY.get(expr.op)
+        if operand is None or op is None:
             return None
-        if expr.op == "-":
-            return -operand
-        if expr.op == "!":
-            return 0 if operand else 1
-        if expr.op == "~":
-            return ~operand
-        return None
+        return op.apply(operand)
     if isinstance(expr, Conditional):
         condition = const_value(expr.condition)
         if condition is None:
@@ -303,53 +294,19 @@ def const_value(expr) -> Optional[int]:
     if isinstance(expr, BinaryOp):
         left = const_value(expr.left)
         right = const_value(expr.right)
-        if expr.op == "&&":
-            if left == 0 or right == 0:
-                return 0
-            if left is not None and right is not None:
-                return 1
+        op = semantics.BINARY.get(expr.op)
+        if op is None:
             return None
-        if expr.op == "||":
-            if (left is not None and left != 0) or (right is not None and right != 0):
-                return 1
-            if left == 0 and right == 0:
-                return 0
-            return None
+        if expr.op in semantics.SHORT_CIRCUIT:
+            # a true side decides ||, a false one &&, whatever the other is
+            decides = expr.op == "||"
+            if (left is not None and bool(left) == decides) or (
+                right is not None and bool(right) == decides
+            ):
+                return 1 if decides else 0
         if left is None or right is None:
             return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op in ("/", "%"):
-            if right == 0:
-                return None
-            if expr.op == "/":
-                return int(left / right) if (left < 0) != (right < 0) else left // right
-            quotient = int(left / right) if (left < 0) != (right < 0) else left // right
-            return left - right * quotient
-        if expr.op == "<<":
-            return left << right
-        if expr.op == ">>":
-            return left >> right
-        if expr.op == "&":
-            return left & right
-        if expr.op == "|":
-            return left | right
-        if expr.op == "^":
-            return left ^ right
-        if expr.op == "==":
-            return 1 if left == right else 0
-        if expr.op == "!=":
-            return 1 if left != right else 0
-        if expr.op == "<":
-            return 1 if left < right else 0
-        if expr.op == "<=":
-            return 1 if left <= right else 0
-        if expr.op == ">":
-            return 1 if left > right else 0
-        if expr.op == ">=":
-            return 1 if left >= right else 0
+        if expr.op in ("/", "%") and right == 0:
+            return None
+        return op.apply(left, right)
     return None

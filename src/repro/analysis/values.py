@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.core import Finding, LintContext, const_value, register_rule
+from repro.uml import semantics
 from repro.uml.actions import (
     Assign,
     BinaryOp,
@@ -165,8 +166,7 @@ def _div_bound(a: float, b: float) -> float:
         return a if b > 0 else -a
     if b in (NEG_INF, POS_INF):
         return 0  # |a/b| < 1 truncates to 0
-    quotient = int(a / b) if (a < 0) != (b < 0) else int(a) // int(b)
-    return quotient
+    return semantics.trunc_div(int(a), int(b))
 
 
 def _corners(left: Interval, right: Interval, fn) -> Interval:

@@ -453,25 +453,30 @@ class JobStore:
     def _acquire_digest(self, record: JobRecord) -> bool:
         """Own the in-flight marker for this request digest, or back off."""
         marker = self.active_dir / record.digest
+        # the marker appears with its owner id already in it (a hard link
+        # of a written temp file), so a twin never reads an empty marker
+        # and mistakes it for a stale one
+        tmp = marker.with_name(marker.name + f".{record.id}.tmp")
+        tmp.write_text(record.id, encoding="ascii")
         try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            owner_id = self._read_text(marker)
-            if owner_id == record.id:
-                return True  # re-claim after a crash mid-run
-            try:
-                owner = self.get(owner_id) if owner_id else None
-            except ServiceError:
-                owner = None
-            if owner is not None and not owner.terminal:
-                return False  # live twin in flight: wait for its cache
-            # stale marker: steal it (atomic replace)
-            tmp = marker.with_name(marker.name + f".{record.id}.tmp")
-            tmp.write_text(record.id, encoding="ascii")
-            os.replace(tmp, marker)
+            os.link(tmp, marker)
             return True
-        with os.fdopen(fd, "w", encoding="ascii") as handle:
-            handle.write(record.id)
+        except FileExistsError:
+            pass
+        finally:
+            self._remove(tmp)
+        owner_id = self._read_text(marker)
+        if owner_id == record.id:
+            return True  # re-claim after a crash mid-run
+        try:
+            owner = self.get(owner_id) if owner_id else None
+        except ServiceError:
+            owner = None
+        if owner is not None and not owner.terminal:
+            return False  # live twin in flight: wait for its cache
+        # stale marker: steal it (atomic replace)
+        tmp.write_text(record.id, encoding="ascii")
+        os.replace(tmp, marker)
         return True
 
     def _release_digest(self, record: JobRecord) -> None:

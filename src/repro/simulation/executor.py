@@ -14,7 +14,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.observability.tracer import Tracer, efsm_track
-from repro.uml.actions import ActionEnvironment, evaluate, execute
+from repro.uml.actions import ActionEnvironment
+from repro.uml.compile import evaluate, execute
+from repro.uml.semantics import RAND16_SEED
 from repro.uml.statemachine import (
     CompletionTrigger,
     SignalTrigger,
@@ -104,6 +106,11 @@ class _StepEnvironment(ActionEnvironment):
         super().__init__()
         self.variables = variables  # shared reference: writes persist
 
+    def begin_guard(self, params: Dict[str, int]) -> None:
+        """Start a guard evaluation: bind ``params``, restart ``rand16``."""
+        self.parameters = params
+        self._rand_state = RAND16_SEED
+
 
 class ProcessExecutor:
     """Runtime state of one application process (one EFSM instance).
@@ -130,6 +137,8 @@ class ProcessExecutor:
         self.variables: Dict[str, int] = dict(machine.variables)
         self.current: Optional[State] = None
         self.terminated = False
+        # guards only read: every evaluation reuses this one environment
+        self._guard_environment = _StepEnvironment(self.variables)
 
     # ------------------------------------------------------------------
     # steps
@@ -147,11 +156,11 @@ class ProcessExecutor:
         environment = _StepEnvironment(self.variables)
         initial = self.machine.initial_state
         outcome.from_state = initial.name
-        outcome.statements += execute(initial.entry, environment)
+        outcome.statements += execute(initial.entry, environment, initial)
         node = initial
         while node.initial_substate is not None:
             node = node.initial_substate
-            outcome.statements += execute(node.entry, environment)
+            outcome.statements += execute(node.entry, environment, node)
         self.current = node
         self._chase_completions(outcome, environment)
         outcome.to_state = self.current.name
@@ -183,7 +192,7 @@ class ProcessExecutor:
                 params = self._bind_parameters(trigger, args)
                 if transition.guard is not None:
                     guards += 1
-                    if not self._guard_holds(transition.guard, params):
+                    if not self._guard_holds(transition, params):
                         continue
                 chosen = transition
                 chosen_params = params
@@ -210,7 +219,7 @@ class ProcessExecutor:
                     continue
                 if transition.guard is not None:
                     guards += 1
-                    if not self._guard_holds(transition.guard, {}):
+                    if not self._guard_holds(transition, {}):
                         continue
                 outcome = self._fire(transition, {}, f"timer:{timer_name}")
                 outcome.guards_evaluated += guards
@@ -267,10 +276,10 @@ class ProcessExecutor:
             )
         return dict(zip(names, args))
 
-    def _guard_holds(self, guard, params: Dict[str, int]) -> bool:
-        environment = _StepEnvironment(self.variables)
-        environment.parameters = params
-        return bool(evaluate(guard, environment))
+    def _guard_holds(self, transition: Transition, params: Dict[str, int]) -> bool:
+        environment = self._guard_environment
+        environment.begin_guard(params)
+        return bool(evaluate(transition.guard, environment, transition))
 
     def _fire(
         self, transition: Transition, params: Dict[str, int], trigger_desc: str
@@ -284,7 +293,7 @@ class ProcessExecutor:
         environment.parameters = params
         if transition.internal:
             # Internal transition: effect only, no exit/entry, stay in state.
-            outcome.statements += execute(transition.effect, environment)
+            outcome.statements += execute(transition.effect, environment, transition)
         else:
             self._take(transition, outcome, environment)
             environment.parameters = {}
@@ -307,19 +316,19 @@ class ProcessExecutor:
         # exit from the active leaf upward to (exclusive) the LCA
         node = self.current
         while node is not None and node is not lca:
-            outcome.statements += execute(node.exit, environment)
+            outcome.statements += execute(node.exit, environment, node)
             node = node.parent
-        outcome.statements += execute(transition.effect, environment)
+        outcome.statements += execute(transition.effect, environment, transition)
         # enter from below the LCA down to the target
         for state in target.path_from_root():
             if lca is not None and (state is lca or not lca.contains(state)):
                 continue  # the LCA and anything above it were never exited
-            outcome.statements += execute(state.entry, environment)
+            outcome.statements += execute(state.entry, environment, state)
         # ... and descend the initial-substate chain
         node = target
         while node.initial_substate is not None:
             node = node.initial_substate
-            outcome.statements += execute(node.entry, environment)
+            outcome.statements += execute(node.entry, environment, node)
         self.current = node
         if self.current.is_final and self.current.parent is None:
             self.terminated = True
@@ -352,7 +361,7 @@ class ProcessExecutor:
                         continue
                     if transition.guard is not None:
                         outcome.guards_evaluated += 1
-                        if not self._guard_holds(transition.guard, {}):
+                        if not self._guard_holds(transition, {}):
                             continue
                     self._take(transition, outcome, environment)
                     fired = True

@@ -39,7 +39,8 @@ from repro.uml.profile import (
     TagType,
 )
 from repro.uml.action_lang import parse_actions, parse_expression
-from repro.uml.actions import ActionEnvironment, evaluate, execute, unparse_block
+from repro.uml.actions import ActionEnvironment, unparse_block
+from repro.uml.compile import evaluate, execute
 from repro.uml.validation import Issue, ValidationReport, validate_model
 from repro.uml.visitor import (
     count_elements,

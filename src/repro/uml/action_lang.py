@@ -55,6 +55,7 @@ _ONE_CHAR_OPS = "+-*/%<>=!&|^~?:(),;{}"
 
 
 class Token:
+    """One lexical token: kind, text and 1-based source position."""
     __slots__ = ("kind", "text", "line", "column")
 
     def __init__(self, kind: str, text: str, line: int, column: int) -> None:
@@ -147,24 +148,29 @@ class _Parser:
     # -- token helpers ---------------------------------------------------------
 
     def peek(self) -> Token:
+        """The current token, not consumed."""
         return self.tokens[self.position]
 
     def advance(self) -> Token:
+        """Consume and return the current token (``eof`` is never consumed)."""
         token = self.tokens[self.position]
         if token.kind != "eof":
             self.position += 1
         return token
 
     def check(self, kind: str, text: Optional[str] = None) -> bool:
+        """Is the current token of ``kind`` (and ``text``, if given)?"""
         token = self.peek()
         return token.kind == kind and (text is None or token.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
+        """Consume the current token if it matches; ``None`` otherwise."""
         if self.check(kind, text):
             return self.advance()
         return None
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
+        """Consume the current token, which must match; else ``ActionSyntaxError``."""
         token = self.peek()
         if not self.check(kind, text):
             expected = text if text is not None else kind
@@ -179,12 +185,14 @@ class _Parser:
     # -- statements -----------------------------------------------------------
 
     def parse_block(self) -> List[Stmt]:
+        """Statements up to the end of input or a closing brace."""
         stmts: List[Stmt] = []
         while not self.check("eof") and not self.check("op", "}"):
             stmts.append(self.parse_statement())
         return stmts
 
     def parse_statement(self) -> Stmt:
+        """One statement."""
         if self.check("keyword", "send"):
             return self._parse_send()
         if self.check("keyword", "if"):
@@ -277,6 +285,7 @@ class _Parser:
     # -- expressions (precedence climbing) -----------------------------------
 
     def parse_expression(self) -> Expr:
+        """One expression, lowest precedence (``?:``) first."""
         return self._parse_ternary()
 
     def _parse_ternary(self) -> Expr:

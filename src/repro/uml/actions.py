@@ -1,4 +1,4 @@
-"""AST and interpreter for the textual action language.
+"""AST and execution environment of the textual action language.
 
 The paper models behaviour as "statechart diagrams combined with the UML 2.0
 textual notation".  This module defines the small imperative language used in
@@ -12,8 +12,10 @@ transition effects, guards and state entry/exit actions:
 * ``set_timer(name, expr);`` / ``reset_timer(name);``
 * builtin calls: ``min``, ``max``, ``abs``, ``crc32``, ``rand16``
 
-The same AST is interpreted by the simulator (:mod:`repro.simulation`) and
-translated to C by the code generator (:mod:`repro.codegen`).
+The same AST is compiled to Python functions for the simulator
+(:mod:`repro.uml.compile`, with operator meaning from
+:mod:`repro.uml.semantics`) and translated to C by the code generator
+(:mod:`repro.codegen`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ActionRuntimeError
+from repro.uml import semantics
 
 MAX_LOOP_ITERATIONS = 100_000
 
@@ -34,9 +37,11 @@ class Expr:
     """Abstract expression node."""
 
     def unparse(self) -> str:
+        """Action-language source for this expression (fully parenthesised)."""
         raise NotImplementedError
 
     def children(self) -> Iterable["Expr"]:
+        """The direct subexpressions, left to right."""
         return ()
 
     def __repr__(self) -> str:
@@ -50,18 +55,24 @@ class Expr:
 
 
 class IntLiteral(Expr):
+    """An integer constant."""
+
     def __init__(self, value: int) -> None:
         self.value = int(value)
 
     def unparse(self) -> str:
+        """The decimal digits (with a sign when negative)."""
         return str(self.value)
 
 
 class BoolLiteral(Expr):
+    """``true`` or ``false``, which evaluate to 1 and 0."""
+
     def __init__(self, value: bool) -> None:
         self.value = bool(value)
 
     def unparse(self) -> str:
+        """``true`` or ``false``."""
         return "true" if self.value else "false"
 
 
@@ -72,28 +83,28 @@ class Name(Expr):
         self.identifier = identifier
 
     def unparse(self) -> str:
+        """The name itself."""
         return self.identifier
 
 
 class UnaryOp(Expr):
-    OPS = ("-", "!", "~")
+    """``-x``, ``!x`` or ``~x``; see :data:`repro.uml.semantics.UNARY`."""
 
     def __init__(self, op: str, operand: Expr) -> None:
         self.op = op
         self.operand = operand
 
     def children(self):
+        """The operand."""
         return (self.operand,)
 
     def unparse(self) -> str:
+        """``(op operand)``."""
         return f"({self.op}{self.operand.unparse()})"
 
 
 class BinaryOp(Expr):
-    ARITHMETIC = ("+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^")
-    COMPARISON = ("==", "!=", "<", "<=", ">", ">=")
-    LOGICAL = ("&&", "||")
-    OPS = ARITHMETIC + COMPARISON + LOGICAL
+    """``left op right``; see :data:`repro.uml.semantics.BINARY`."""
 
     def __init__(self, op: str, left: Expr, right: Expr) -> None:
         self.op = op
@@ -101,9 +112,11 @@ class BinaryOp(Expr):
         self.right = right
 
     def children(self):
+        """The left and right operands."""
         return (self.left, self.right)
 
     def unparse(self) -> str:
+        """``(left op right)``."""
         return f"({self.left.unparse()} {self.op} {self.right.unparse()})"
 
 
@@ -116,9 +129,11 @@ class Conditional(Expr):
         self.else_value = else_value
 
     def children(self):
+        """Condition, then-value and else-value."""
         return (self.condition, self.then_value, self.else_value)
 
     def unparse(self) -> str:
+        """``(condition ? then_value : else_value)``."""
         return (
             f"({self.condition.unparse()} ? {self.then_value.unparse()}"
             f" : {self.else_value.unparse()})"
@@ -126,16 +141,18 @@ class Conditional(Expr):
 
 
 class Call(Expr):
-    BUILTINS = ("min", "max", "abs", "crc32", "rand16")
+    """A builtin call; see :mod:`repro.uml.semantics` for the builtins."""
 
     def __init__(self, function: str, args: Sequence[Expr]) -> None:
         self.function = function
         self.args = list(args)
 
     def children(self):
+        """The arguments."""
         return tuple(self.args)
 
     def unparse(self) -> str:
+        """``function(arg, ...)``."""
         inner = ", ".join(arg.unparse() for arg in self.args)
         return f"{self.function}({inner})"
 
@@ -149,6 +166,7 @@ class Stmt:
     """Abstract statement node."""
 
     def unparse(self, indent: int = 0) -> str:
+        """Action-language source, indented by ``indent`` levels."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -166,11 +184,14 @@ def _pad(indent: int) -> str:
 
 
 class Assign(Stmt):
+    """``target = value;`` — writes an EFSM variable."""
+
     def __init__(self, target: str, value: Expr) -> None:
         self.target = target
         self.value = value
 
     def unparse(self, indent: int = 0) -> str:
+        """Source text, indented by ``indent`` levels."""
         return f"{_pad(indent)}{self.target} = {self.value.unparse()};"
 
 
@@ -183,12 +204,15 @@ class Send(Stmt):
         self.via = via
 
     def unparse(self, indent: int = 0) -> str:
+        """Source text, indented by ``indent`` levels."""
         inner = ", ".join(arg.unparse() for arg in self.args)
         via = f" via {self.via}" if self.via else ""
         return f"{_pad(indent)}send {self.signal}({inner}){via};"
 
 
 class If(Stmt):
+    """``if (condition) { ... } else { ... }``."""
+
     def __init__(
         self,
         condition: Expr,
@@ -200,6 +224,7 @@ class If(Stmt):
         self.else_body = list(else_body)
 
     def unparse(self, indent: int = 0) -> str:
+        """Source text, indented by ``indent`` levels."""
         lines = [f"{_pad(indent)}if ({self.condition.unparse()}) {{"]
         lines += [stmt.unparse(indent + 1) for stmt in self.then_body]
         if self.else_body:
@@ -210,11 +235,14 @@ class If(Stmt):
 
 
 class While(Stmt):
+    """``while (condition) { ... }``, bounded by :data:`MAX_LOOP_ITERATIONS`."""
+
     def __init__(self, condition: Expr, body: Sequence[Stmt]) -> None:
         self.condition = condition
         self.body = list(body)
 
     def unparse(self, indent: int = 0) -> str:
+        """Source text, indented by ``indent`` levels."""
         lines = [f"{_pad(indent)}while ({self.condition.unparse()}) {{"]
         lines += [stmt.unparse(indent + 1) for stmt in self.body]
         lines.append(f"{_pad(indent)}}}")
@@ -229,6 +257,7 @@ class SetTimer(Stmt):
         self.duration = duration
 
     def unparse(self, indent: int = 0) -> str:
+        """Source text, indented by ``indent`` levels."""
         return f"{_pad(indent)}set_timer({self.timer}, {self.duration.unparse()});"
 
 
@@ -239,6 +268,7 @@ class ResetTimer(Stmt):
         self.timer = timer
 
     def unparse(self, indent: int = 0) -> str:
+        """Source text, indented by ``indent`` levels."""
         return f"{_pad(indent)}reset_timer({self.timer});"
 
 
@@ -262,6 +292,7 @@ def walk_expressions(stmts: Sequence[Stmt]):
     """Yield every expression appearing in a block (pre-order)."""
 
     def expand(expr: Expr):
+        """``expr`` and its subexpressions, pre-order."""
         yield expr
         for child in expr.children():
             yield from expand(child)
@@ -288,16 +319,20 @@ def sent_signal_names(stmts: Sequence[Stmt]):
 
 
 # ---------------------------------------------------------------------------
-# Interpretation
+# Execution environment
 # ---------------------------------------------------------------------------
 
 
 class ActionEnvironment:
-    """What the interpreter needs from its host (the simulator or tests).
+    """What running action code needs from its host (the simulator or tests).
 
-    Subclasses override the hooks; the defaults implement an in-memory
-    variable store and record sends/timer operations, which is enough for
-    unit testing action semantics without a simulator.
+    ``variables`` is the EFSM variable store, written in place;
+    ``parameters`` holds the trigger parameters, which names resolve to
+    first and which cannot be assigned.  Subclasses override the hooks; the
+    defaults record sends and timer operations, which is enough for unit
+    testing action semantics without a simulator.  Code runs in an
+    environment through :func:`repro.uml.compile.execute` and
+    :func:`repro.uml.compile.evaluate`.
     """
 
     def __init__(self, variables: Optional[Dict[str, int]] = None) -> None:
@@ -309,183 +344,37 @@ class ActionEnvironment:
         # program-order log of timer operations: ("set", name, duration) or
         # ("reset", name, 0) — set/reset interleaving matters semantically
         self.timer_ops: List[tuple] = []
-        self._rand_state = 0x2F6E
-
-    # -- variable access -----------------------------------------------------
-
-    def read(self, name: str) -> int:
-        if name in self.parameters:
-            return self.parameters[name]
-        if name in self.variables:
-            return self.variables[name]
-        raise ActionRuntimeError(f"undefined name {name!r}")
-
-    def write(self, name: str, value: int) -> None:
-        if name in self.parameters:
-            raise ActionRuntimeError(f"cannot assign to trigger parameter {name!r}")
-        self.variables[name] = value
+        self._rand_state = semantics.RAND16_SEED
 
     # -- effect hooks ----------------------------------------------------------
 
     def send(self, signal: str, args: List[int], via: Optional[str]) -> None:
+        """A ``send`` statement ran: record the signal and its arguments."""
         self.sent.append((signal, tuple(args), via))
 
     def set_timer(self, timer: str, duration: int) -> None:
+        """A ``set_timer`` statement ran with a non-negative duration."""
         self.timers_set.append((timer, duration))
         self.timer_ops.append(("set", timer, duration))
 
     def reset_timer(self, timer: str) -> None:
+        """A ``reset_timer`` statement ran."""
         self.timers_reset.append(timer)
         self.timer_ops.append(("reset", timer, 0))
 
     # -- builtins ----------------------------------------------------------------
 
     def call_builtin(self, function: str, args: List[int]) -> int:
-        if function == "min":
-            return min(args)
-        if function == "max":
-            return max(args)
-        if function == "abs":
-            if len(args) != 1:
-                raise ActionRuntimeError("abs() takes exactly one argument")
-            return abs(args[0])
-        if function == "crc32":
-            if len(args) not in (1, 2):
-                raise ActionRuntimeError("crc32() takes one or two arguments")
-            from repro.util.crc import crc32_of_int
+        """Call a builtin; ``rand16`` advances this environment's state.
 
-            seed = args[1] if len(args) == 2 else 0
-            return crc32_of_int(args[0], seed)
+        Compiled code calls the pure builtins of
+        :data:`repro.uml.semantics.PURE_BUILTINS` directly and comes here
+        for the others: ``rand16`` and names that are no builtin.
+        """
         if function == "rand16":
-            # deterministic 16-bit LCG, xorshifted per call
-            self._rand_state = (self._rand_state * 75 + 74) % 65537
-            return self._rand_state & 0xFFFF
-        raise ActionRuntimeError(f"unknown builtin {function!r}")
-
-
-def _as_bool(value) -> bool:
-    return bool(value)
-
-
-def evaluate(expr: Expr, env: ActionEnvironment) -> int:
-    """Evaluate an expression; booleans are represented as 0/1."""
-    if isinstance(expr, IntLiteral):
-        return expr.value
-    if isinstance(expr, BoolLiteral):
-        return 1 if expr.value else 0
-    if isinstance(expr, Name):
-        return env.read(expr.identifier)
-    if isinstance(expr, UnaryOp):
-        value = evaluate(expr.operand, env)
-        if expr.op == "-":
-            return -value
-        if expr.op == "!":
-            return 0 if _as_bool(value) else 1
-        if expr.op == "~":
-            return ~value
-        raise ActionRuntimeError(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, BinaryOp):
-        return _evaluate_binary(expr, env)
-    if isinstance(expr, Conditional):
-        if _as_bool(evaluate(expr.condition, env)):
-            return evaluate(expr.then_value, env)
-        return evaluate(expr.else_value, env)
-    if isinstance(expr, Call):
-        args = [evaluate(arg, env) for arg in expr.args]
-        return env.call_builtin(expr.function, args)
-    raise ActionRuntimeError(f"cannot evaluate {expr!r}")
-
-
-def _evaluate_binary(expr: BinaryOp, env: ActionEnvironment) -> int:
-    op = expr.op
-    if op == "&&":
-        return 1 if (_as_bool(evaluate(expr.left, env)) and _as_bool(evaluate(expr.right, env))) else 0
-    if op == "||":
-        return 1 if (_as_bool(evaluate(expr.left, env)) or _as_bool(evaluate(expr.right, env))) else 0
-    left = evaluate(expr.left, env)
-    right = evaluate(expr.right, env)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise ActionRuntimeError("division by zero")
-        return int(left / right) if (left < 0) != (right < 0) else left // right
-    if op == "%":
-        if right == 0:
-            raise ActionRuntimeError("modulo by zero")
-        return left - right * (int(left / right) if (left < 0) != (right < 0) else left // right)
-    if op == "<<":
-        return left << right
-    if op == ">>":
-        return left >> right
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "==":
-        return 1 if left == right else 0
-    if op == "!=":
-        return 1 if left != right else 0
-    if op == "<":
-        return 1 if left < right else 0
-    if op == "<=":
-        return 1 if left <= right else 0
-    if op == ">":
-        return 1 if left > right else 0
-    if op == ">=":
-        return 1 if left >= right else 0
-    raise ActionRuntimeError(f"unknown binary operator {op!r}")
-
-
-def execute(stmts: Sequence[Stmt], env: ActionEnvironment) -> int:
-    """Run a statement block in ``env``; returns the number of executed statements.
-
-    The count approximates work done and feeds the simulator's cost model.
-    ``while`` loops are bounded by :data:`MAX_LOOP_ITERATIONS` to keep model
-    bugs from hanging the simulation.
-    """
-    executed = 0
-    for stmt in stmts:
-        executed += _execute_one(stmt, env)
-    return executed
-
-
-def _execute_one(stmt: Stmt, env: ActionEnvironment) -> int:
-    if isinstance(stmt, Assign):
-        env.write(stmt.target, evaluate(stmt.value, env))
-        return 1
-    if isinstance(stmt, Send):
-        args = [evaluate(arg, env) for arg in stmt.args]
-        env.send(stmt.signal, args, stmt.via)
-        return 1
-    if isinstance(stmt, If):
-        if _as_bool(evaluate(stmt.condition, env)):
-            return 1 + execute(stmt.then_body, env)
-        return 1 + execute(stmt.else_body, env)
-    if isinstance(stmt, While):
-        executed = 0
-        iterations = 0
-        while _as_bool(evaluate(stmt.condition, env)):
-            iterations += 1
-            if iterations > MAX_LOOP_ITERATIONS:
-                raise ActionRuntimeError(
-                    f"while loop exceeded {MAX_LOOP_ITERATIONS} iterations"
-                )
-            executed += 1 + execute(stmt.body, env)
-        return executed + 1
-    if isinstance(stmt, SetTimer):
-        duration = evaluate(stmt.duration, env)
-        if duration < 0:
-            raise ActionRuntimeError(f"negative timer duration {duration}")
-        env.set_timer(stmt.timer, duration)
-        return 1
-    if isinstance(stmt, ResetTimer):
-        env.reset_timer(stmt.timer)
-        return 1
-    raise ActionRuntimeError(f"cannot execute {stmt!r}")
+            self._rand_state, value = semantics.rand16(self._rand_state)
+            return value
+        pure = semantics.PURE_BUILTINS.get(function)
+        if pure is None:
+            raise ActionRuntimeError(f"unknown builtin {function!r}")
+        return pure(args)

@@ -47,6 +47,7 @@ class Classifier(NamedElement):
     # -- attributes ----------------------------------------------------------
 
     def add_attribute(self, prop: "Property") -> "Property":  # noqa: F821
+        """Own ``prop`` as an attribute; returns it."""
         self.own(prop)
         self.attributes.append(prop)
         return prop
@@ -90,6 +91,7 @@ class Enumeration(DataType):
         self.literals: List[str] = list(literals)
 
     def add_literal(self, literal: str) -> None:
+        """Append a literal; duplicates are a ``ModelError``."""
         if literal in self.literals:
             raise ModelError(f"duplicate literal {literal!r} in {self.name!r}")
         self.literals.append(literal)
@@ -121,6 +123,7 @@ class Signal(Classifier):
         self.payload_bits = payload_bits
 
     def parameter_names(self) -> List[str]:
+        """Attribute names in declaration order, inherited ones included."""
         return [prop.name for prop in self.all_attributes()]
 
     def size_bits(self) -> int:
@@ -138,6 +141,7 @@ class Signal(Classifier):
         return bits
 
     def size_bytes(self) -> int:
+        """Wire size rounded up to whole bytes."""
         return (self.size_bits() + 7) // 8
 
 
@@ -161,40 +165,47 @@ class Class(Classifier):
     # -- composite structure -------------------------------------------------
 
     def add_part(self, part: "Property") -> "Property":  # noqa: F821
+        """Own ``part`` as a composite part; returns it."""
         part.aggregation = "composite"
         self.own(part)
         self.parts.append(part)
         return part
 
     def part(self, name: str) -> Optional["Property"]:  # noqa: F821
+        """The part named ``name``, or ``None``."""
         for part in self.parts:
             if part.name == name:
                 return part
         return None
 
     def add_port(self, port: "Port") -> "Port":  # noqa: F821
+        """Own ``port``; returns it."""
         self.own(port)
         self.ports.append(port)
         return port
 
     def port(self, name: str) -> Optional["Port"]:  # noqa: F821
+        """The port named ``name`` (inherited ones included), or ``None``."""
         for port in self.all_ports():
             if port.name == name:
                 return port
         return None
 
     def all_ports(self) -> Iterator["Port"]:  # noqa: F821
+        """Own ports, then those of every general class."""
         yield from self.ports
         for general in self.all_generals():
             if isinstance(general, Class):
                 yield from general.ports
 
     def add_connector(self, connector: "Connector") -> "Connector":  # noqa: F821
+        """Own ``connector``; returns it."""
         self.own(connector)
         self.connectors.append(connector)
         return connector
 
     def add_nested(self, classifier: Classifier) -> Classifier:
+        """Own a nested classifier; returns it."""
         self.own(classifier)
         self.nested_classifiers.append(classifier)
         return classifier

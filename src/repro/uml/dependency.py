@@ -26,11 +26,13 @@ class Dependency(NamedElement):
             self.add_supplier(supplier)
 
     def add_client(self, element: NamedElement) -> None:
+        """Add a client (the dependent element)."""
         if not isinstance(element, NamedElement):
             raise ModelError("dependency client must be a NamedElement")
         self.clients.append(element)
 
     def add_supplier(self, element: NamedElement) -> None:
+        """Add a supplier (the element depended on)."""
         if not isinstance(element, NamedElement):
             raise ModelError("dependency supplier must be a NamedElement")
         self.suppliers.append(element)
@@ -52,6 +54,7 @@ class Dependency(NamedElement):
         return self.suppliers[0]
 
     def describe(self) -> str:
+        """``clients --> suppliers`` by name."""
         client_names = ", ".join(c.name for c in self.clients) or "<none>"
         supplier_names = ", ".join(s.name for s in self.suppliers) or "<none>"
         return f"{client_names} --> {supplier_names}"

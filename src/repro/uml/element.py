@@ -98,6 +98,7 @@ class Element:
     # -- misc ----------------------------------------------------------------
 
     def add_comment(self, body: str) -> "Comment":
+        """Attach a new comment with ``body``; returns it."""
         comment = Comment(body)
         self.own(comment)
         self.comments.append(comment)

@@ -46,6 +46,7 @@ class InstanceSpecification(NamedElement):
         return slot
 
     def value(self, feature_name: str, default=None):
+        """The slot value, else the attribute's default, else ``default``."""
         slot = self.slots.get(feature_name)
         if slot is not None:
             return slot.value
@@ -56,6 +57,7 @@ class InstanceSpecification(NamedElement):
         return default
 
     def describe(self) -> str:
+        """``name : Classifier``."""
         classifier_name = self.classifier.name if self.classifier else "<untyped>"
         return f"{self.name} : {classifier_name}"
 

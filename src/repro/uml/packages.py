@@ -40,12 +40,15 @@ class Package(NamedElement):
         return None
 
     def members_of_type(self, metatype) -> List[NamedElement]:
+        """Packaged elements that are instances of ``metatype``."""
         return [e for e in self.packaged_elements if isinstance(e, metatype)]
 
     def subpackages(self) -> List["Package"]:
+        """Directly nested packages."""
         return [e for e in self.packaged_elements if isinstance(e, Package)]
 
     def classifiers(self, recursive: bool = False) -> Iterator[Classifier]:
+        """Packaged classifiers; with ``recursive``, those of nested packages too."""
         for element in self.packaged_elements:
             if isinstance(element, Classifier):
                 yield element
@@ -104,6 +107,7 @@ class Model(Package):
             self._primitives[type_name] = primitive
 
     def primitive(self, name: str) -> PrimitiveType:
+        """The primitive type named ``name``; unknown names are a ``ModelError``."""
         try:
             return self._primitives[name]
         except KeyError:

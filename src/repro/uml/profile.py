@@ -139,6 +139,7 @@ class Stereotype(NamedElement):
         return definitions
 
     def find_tag(self, name: str) -> Optional[TagDefinition]:
+        """The tag definition named ``name`` (inherited ones included), or ``None``."""
         for definition in self.all_tag_definitions():
             if definition.name == name:
                 return definition
@@ -188,6 +189,7 @@ class StereotypeApplication:
             self.set(name, value)
 
     def set(self, tag_name: str, value) -> None:
+        """Set a tagged value; the stereotype must define the tag."""
         definition = self.stereotype.find_tag(tag_name)
         if definition is None:
             raise ProfileError(
@@ -196,6 +198,7 @@ class StereotypeApplication:
         self.values[tag_name] = definition.validate(value)
 
     def get(self, tag_name: str, default=None):
+        """A tagged value, else the tag's default, else ``default``."""
         if tag_name in self.values:
             return self.values[tag_name]
         definition = self.stereotype.find_tag(tag_name)
@@ -204,6 +207,7 @@ class StereotypeApplication:
         return default
 
     def missing_required_tags(self) -> List[str]:
+        """Names of required tags that have no value."""
         return [
             definition.name
             for definition in self.stereotype.all_tag_definitions()
@@ -224,6 +228,7 @@ class Profile(Package):
         self.stereotypes: List[Stereotype] = []
 
     def add_stereotype(self, stereotype: Stereotype) -> Stereotype:
+        """Add a stereotype; a duplicate name is a ``ProfileError``."""
         if self.stereotype(stereotype.name) is not None:
             raise ProfileError(
                 f"profile {self.name!r} already has stereotype {stereotype.name!r}"
@@ -233,12 +238,14 @@ class Profile(Package):
         return stereotype
 
     def stereotype(self, name: str) -> Optional[Stereotype]:
+        """The stereotype named ``name``, or ``None``."""
         for stereotype in self.stereotypes:
             if stereotype.name == name:
                 return stereotype
         return None
 
     def iter_stereotypes(self) -> Iterator[Stereotype]:
+        """The profile's stereotypes in definition order."""
         return iter(self.stereotypes)
 
     def apply(self, element: Element, stereotype_name: str, **tag_values) -> StereotypeApplication:
@@ -272,6 +279,7 @@ class Profile(Package):
         return application
 
     def unapply(self, element: Element, stereotype_name: str) -> None:
+        """Remove an applied stereotype; raises if it is not applied."""
         application = element.stereotype_application(stereotype_name)
         if application is None:
             raise ProfileError(f"«{stereotype_name}» is not applied to this element")

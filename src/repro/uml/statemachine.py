@@ -21,6 +21,7 @@ class Trigger:
     """Abstract transition trigger."""
 
     def describe(self) -> str:
+        """A short human-readable form of the trigger."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -39,6 +40,7 @@ class SignalTrigger(Trigger):
         self.parameter_names = list(parameter_names)
 
     def describe(self) -> str:
+        """``signal(param, ...)``."""
         if self.parameter_names:
             return f"{self.signal_name}({', '.join(self.parameter_names)})"
         return self.signal_name
@@ -51,6 +53,7 @@ class TimerTrigger(Trigger):
         self.timer_name = timer_name
 
     def describe(self) -> str:
+        """``timer <name>``."""
         return f"timer {self.timer_name}"
 
 
@@ -58,6 +61,7 @@ class CompletionTrigger(Trigger):
     """Fires immediately after the source state's entry actions complete."""
 
     def describe(self) -> str:
+        """``completion``."""
         return "completion"
 
 
@@ -81,6 +85,7 @@ class State(NamedElement):
 
     @property
     def is_composite(self) -> bool:
+        """Does this state own substates?"""
         return bool(self.substates)
 
     def ancestors(self) -> List["State"]:
@@ -152,6 +157,7 @@ class Transition(NamedElement):
         self.internal = internal
 
     def describe(self) -> str:
+        """``source --trigger [guard]--> target``."""
         guard = f" [{self.guard.unparse()}]" if self.guard is not None else ""
         arrow = "--(internal)" if self.internal else "--"
         return (
@@ -227,6 +233,7 @@ class StateMachine(NamedElement):
         return new_state
 
     def final_state(self, name: str = "final") -> FinalState:
+        """Add a final state; entering it at the top level ends the machine."""
         final = FinalState(name)
         self.own(final)
         self.states.append(final)
@@ -317,6 +324,7 @@ class StateMachine(NamedElement):
     # -- queries ----------------------------------------------------------------
 
     def find_state(self, name: str) -> Optional[State]:
+        """The state named ``name``, or ``None``."""
         for state in self.states:
             if state.name == name:
                 return state
@@ -338,6 +346,7 @@ class StateMachine(NamedElement):
         return sorted(names)
 
     def timer_names(self) -> List[str]:
+        """All timer names the machine's transitions trigger on, sorted."""
         names = {
             t.trigger.timer_name
             for t in self.transitions

@@ -41,9 +41,11 @@ class Property(NamedElement):
 
     @property
     def is_part(self) -> bool:
+        """Is this a composite part?"""
         return self.aggregation == "composite"
 
     def multiplicity(self) -> str:
+        """``[lower..upper]`` with ``*`` for unbounded."""
         upper = "*" if self.upper == -1 else str(self.upper)
         return f"[{self.lower}..{upper}]"
 
@@ -76,6 +78,7 @@ class Port(Property):
 
     @property
     def is_constrained(self) -> bool:
+        """Does the port declare provided or required signals?"""
         return bool(self.provided or self.required)
 
     def accepts(self, signal_name: str) -> bool:
@@ -108,6 +111,7 @@ class ConnectorEnd:
         self.part = part
 
     def describe(self) -> str:
+        """``part.port``, or just the port name on the boundary."""
         if self.part is not None:
             return f"{self.part.name}.{self.port.name}"
         return self.port.name
@@ -133,6 +137,7 @@ class Connector(NamedElement):
             self.ends.append(end2)
 
     def set_ends(self, end1: ConnectorEnd, end2: ConnectorEnd) -> None:
+        """Set the two ends of a binary connector."""
         self.ends = [end1, end2]
 
     @property
@@ -146,6 +151,7 @@ class Connector(NamedElement):
         return len(self.ends) == 2 and all(end.part is not None for end in self.ends)
 
     def other_end(self, end: ConnectorEnd) -> ConnectorEnd:
+        """The end of this binary connector that is not ``end``."""
         if len(self.ends) != 2:
             raise ModelError(f"connector {self.name!r} is not binary")
         if end is self.ends[0]:
@@ -155,6 +161,7 @@ class Connector(NamedElement):
         raise ModelError(f"end {end!r} does not belong to connector {self.name!r}")
 
     def describe(self) -> str:
+        """``end -- end``, or the connector's name when unwired."""
         if len(self.ends) == 2:
             return f"{self.ends[0].describe()} -- {self.ends[1].describe()}"
         return self.name or "<unwired>"

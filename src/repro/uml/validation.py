@@ -41,27 +41,34 @@ class ValidationReport:
     issues: List[Issue] = field(default_factory=list)
 
     def add(self, severity: str, rule: str, message: str, element=None) -> None:
+        """Record an issue of ``severity``."""
         self.issues.append(Issue(severity, rule, message, element))
 
     def error(self, rule: str, message: str, element=None) -> None:
+        """Record an error."""
         self.add(SEVERITY_ERROR, rule, message, element)
 
     def warning(self, rule: str, message: str, element=None) -> None:
+        """Record a warning."""
         self.add(SEVERITY_WARNING, rule, message, element)
 
     @property
     def errors(self) -> List[Issue]:
+        """The issues of error severity."""
         return [i for i in self.issues if i.severity == SEVERITY_ERROR]
 
     @property
     def warnings(self) -> List[Issue]:
+        """The issues of warning severity."""
         return [i for i in self.issues if i.severity == SEVERITY_WARNING]
 
     @property
     def ok(self) -> bool:
+        """True when there are no errors."""
         return not self.errors
 
     def raise_on_errors(self) -> None:
+        """Raise ``ValidationError`` summarising the errors, if there are any."""
         if self.errors:
             summary = "; ".join(str(issue) for issue in self.errors[:5])
             raise ValidationError(
@@ -69,6 +76,7 @@ class ValidationReport:
             )
 
     def render(self) -> str:
+        """One line per issue, or an ok line."""
         if not self.issues:
             return "validation: ok (no issues)"
         return "\n".join(str(issue) for issue in self.issues)

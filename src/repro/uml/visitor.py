@@ -36,6 +36,7 @@ def find_by_name(
 def find_all_by_name(
     root: Element, name: str, metatype: Type[ElementT] = NamedElement
 ) -> List[ElementT]:
+    """Every ``metatype`` instance named ``name`` under ``root``."""
     return [e for e in iter_instances(root, metatype) if e.name == name]
 
 
@@ -45,8 +46,10 @@ def find_stereotyped(root: Element, stereotype_name: str) -> List[Element]:
 
 
 def select(root: Element, predicate: Callable[[Element], bool]) -> List[Element]:
+    """Every element under ``root`` (``root`` included) satisfying ``predicate``."""
     return [e for e in iter_tree(root) if predicate(e)]
 
 
 def count_elements(root: Element) -> int:
+    """The number of elements under ``root``, ``root`` included."""
     return sum(1 for _ in iter_tree(root))

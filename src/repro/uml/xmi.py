@@ -65,6 +65,7 @@ class _Writer:
         return self.ids[key]
 
     def ref(self, element: Element) -> str:
+        """The XMI id of ``element``; elements of other models get an external ref."""
         key = id(element)
         if key not in self.ids:
             # Cross-model reference (e.g. a mapping dependency pointing at a
@@ -83,6 +84,7 @@ class _Writer:
     # -- document ---------------------------------------------------------------
 
     def document(self) -> ET.Element:
+        """The whole ``XMI`` document tree."""
         root = ET.Element("XMI", {"version": XMI_VERSION})
         model_node = self.package_node(self.model)
         model_node.set("type", "uml:Model")
@@ -114,6 +116,7 @@ class _Writer:
     # -- element serialisers -------------------------------------------------------
 
     def package_node(self, package: Package) -> ET.Element:
+        """The node of a package and its packaged elements."""
         node = ET.Element("packagedElement", {"type": "uml:Package"})
         node.set("id", self.ref(package))
         node.set("name", package.name)
@@ -125,6 +128,7 @@ class _Writer:
         return node
 
     def packageable_node(self, element: NamedElement) -> Optional[ET.Element]:
+        """The node of one packaged element, or ``None`` for a profile."""
         if isinstance(element, Profile):
             # Profiles are definitions, not model content: referenced by name.
             return None
@@ -165,6 +169,7 @@ class _Writer:
             ET.SubElement(node, "ownedComment").text = comment.body
 
     def signal_node(self, signal: Signal) -> ET.Element:
+        """The node of a signal and its attributes."""
         node = self._named("packagedElement", signal, "uml:Signal")
         node.set("payloadBits", str(signal.payload_bits))
         for attribute in signal.attributes:
@@ -174,6 +179,7 @@ class _Writer:
         return node
 
     def class_node(self, klass: Class) -> ET.Element:
+        """The node of a class with its features, connectors and behaviour."""
         node = self._named("packagedElement", klass, "uml:Class")
         node.set("isActive", "true" if klass.is_active else "false")
         for general in klass.generals:
@@ -212,6 +218,7 @@ class _Writer:
         return node
 
     def property_node(self, prop: Property, tag: str) -> ET.Element:
+        """The node of a property under tag ``tag``."""
         node = ET.Element(tag, {"id": self.ref(prop), "name": prop.name})
         if prop.type is not None:
             node.set("typeRef", self.ref(prop.type))
@@ -223,6 +230,7 @@ class _Writer:
         return node
 
     def machine_node(self, machine: StateMachine) -> ET.Element:
+        """The node of a state machine: variables, states with actions, transitions."""
         node = ET.Element(
             "ownedBehavior", {"type": "uml:StateMachine", "name": machine.name}
         )
@@ -277,12 +285,14 @@ class _Writer:
         return node
 
     def dependency_node(self, dependency: Dependency) -> ET.Element:
+        """The node of a dependency with its client and supplier refs."""
         node = self._named("packagedElement", dependency, "uml:Dependency")
         node.set("clients", ",".join(self.ref(c) for c in dependency.clients))
         node.set("suppliers", ",".join(self.ref(s) for s in dependency.suppliers))
         return node
 
     def instance_node(self, instance: InstanceSpecification) -> ET.Element:
+        """The node of an instance specification and its slots."""
         node = self._named(
             "packagedElement", instance, "uml:InstanceSpecification"
         )
@@ -369,12 +379,14 @@ class _Reader:
         self.pending: List = []  # deferred reference fixups
 
     def register(self, node: ET.Element, element: Element) -> None:
+        """Remember ``element`` under the node's XMI id."""
         xmi_id = node.get("id")
         if xmi_id:
             element.xmi_id = xmi_id
             self.by_id[xmi_id] = element
 
     def resolve(self, xmi_id: str) -> Element:
+        """The element with ``xmi_id``; unknown ids are an ``XmiError``."""
         try:
             return self.by_id[xmi_id]
         except KeyError:
@@ -383,6 +395,7 @@ class _Reader:
     # -- parsing --------------------------------------------------------------------
 
     def read_document(self, root: ET.Element) -> Model:
+        """Rebuild the model from an ``XMI`` document root."""
         model_node = root.find("packagedElement")
         if model_node is None or model_node.get("type") != "uml:Model":
             raise XmiError("document has no uml:Model root element")

@@ -27,10 +27,6 @@ from repro.simulation.kernel import Kernel
 
 TUTWLAN_BUILDER = "repro.cases.tutwlan:exploration_factory"
 
-REPO_ROOT = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
-)
-
 #: events/second floor; the kernel currently sustains ~900k on one core.
 KERNEL_EVENTS_PER_S_FLOOR = 100_000
 
@@ -125,7 +121,7 @@ def test_parallel_vs_serial_speedup_smoke():
     )
 
 
-def test_bench_explore_artifact_and_supervisor_overhead():
+def test_bench_explore_artifact_and_supervisor_overhead(bench_dir):
     """Record the exploration trajectory in ``BENCH_explore.json``.
 
     The artefact keeps kernel throughput, campaign wall time and the
@@ -187,8 +183,7 @@ def test_bench_explore_artifact_and_supervisor_overhead():
             ),
         },
     }
-    path = os.path.join(REPO_ROOT, "BENCH_explore.json")
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(bench_dir / "BENCH_explore.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

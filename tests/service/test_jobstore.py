@@ -8,6 +8,8 @@ leases, stale markers.
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -130,6 +132,41 @@ class TestDigestDedupe:
         store.finish(first.id, DONE, run_json=FAKE_RUN, served="evaluated")
         follower = store.claim_next("w1", lease_s=30.0)
         assert follower.id == second.id
+
+    def test_racing_claims_of_one_digest_run_one_job(self, tmp_path, sweep_request):
+        """Threads claiming twins at once: exactly one job may run.
+
+        A twin must never read the primary's digest marker before the
+        primary's id is in it (it would take the marker for stale).
+        """
+        threads_n = 8
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(15):
+                store = JobStore(tmp_path / f"spool{round_}")
+                for _ in range(threads_n):
+                    store.submit(sweep_request)
+                barrier = threading.Barrier(threads_n)
+                claimed = []
+
+                def claim(worker):
+                    barrier.wait(timeout=10.0)
+                    claimed.append(store.claim_next(worker, lease_s=30.0))
+
+                threads = [
+                    threading.Thread(target=claim, args=(f"w{i}",))
+                    for i in range(threads_n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(claimed) == threads_n
+                assert sum(record is not None for record in claimed) == 1
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_distinct_digests_run_concurrently(self, store, sweep_request):
         from tests.service.conftest import request_with_duration

@@ -675,11 +675,10 @@ def analyze_machine(machine: StateMachine) -> Optional[MachineValues]:
         if leaf.is_final:
             continue
         current = state_envs[id(leaf)]
-        for source in [leaf] + leaf.ancestors():
-            for transition in machine.outgoing(source):
-                new_leaf, out = _transition_step(leaf, transition, current)
-                if new_leaf is not None:
-                    push(new_leaf, out)
+        for transition in machine.effective_transitions(leaf):
+            new_leaf, out = _transition_step(leaf, transition, current)
+            if new_leaf is not None:
+                push(new_leaf, out)
     return MachineValues(machine, state_envs, leaves)
 
 
@@ -795,11 +794,10 @@ def check_machine(
         if leaf.is_final:
             continue
         env = values.env_of(leaf)
-        for source in [leaf] + leaf.ancestors():
-            for transition in machine.outgoing(source):
-                where["current"] = f"transition {transition.describe()!r}"
-                anchors["current"] = transition
-                _transition_step(leaf, transition, env, on_division)
+        for transition in machine.effective_transitions(leaf):
+            where["current"] = f"transition {transition.describe()!r}"
+            anchors["current"] = transition
+            _transition_step(leaf, transition, env, on_division)
 
     for _, (where_str, anchor, expr, divisor) in sorted(
         sites.items(), key=lambda item: (item[1][0], item[1][2].unparse())

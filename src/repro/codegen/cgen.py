@@ -313,15 +313,6 @@ class CGenerator:
             and not (lca is not None and (state is lca or not lca.contains(state)))
         ]
 
-    def _effective_transitions(self, leaf, trigger_type):
-        """Transitions available in ``leaf``: own first, then ancestors'."""
-        result = []
-        for source in [leaf] + leaf.ancestors():
-            for transition in self.machine.outgoing(source):
-                if isinstance(transition.trigger, trigger_type):
-                    result.append(transition)
-        return result
-
     def _enter_prototypes(self) -> List[str]:
         return [
             f"static void {self.prefix}_enter_{sanitize(state.name)}"
@@ -373,9 +364,9 @@ class CGenerator:
                     "the generated code cannot enter it"
                 )
             # leaf: chase completion transitions (own, then ancestors')
-            for transition in self._effective_transitions(
-                state, CompletionTrigger
-            ):
+            for transition in self.machine.effective_transitions(state):
+                if not isinstance(transition.trigger, CompletionTrigger):
+                    continue
                 condition = (
                     self.expr(transition.guard, ())
                     if transition.guard is not None
@@ -429,7 +420,11 @@ class CGenerator:
             lines.append("    tut_log_exec(&ctx->base, tut_signal_name(sig->id));")
         lines.append("    switch (ctx->base.state) {")
         for state in self._leaf_states():
-            transitions = self._effective_transitions(state, SignalTrigger)
+            transitions = [
+                transition
+                for transition in self.machine.effective_transitions(state)
+                if isinstance(transition.trigger, SignalTrigger)
+            ]
             if not transitions:
                 continue
             lines.append(f"    case {self._state_const(state)}:")
@@ -477,7 +472,11 @@ class CGenerator:
             lines.append('    tut_log_exec(&ctx->base, "timer");')
         lines.append("    switch (ctx->base.state) {")
         for state in self._leaf_states():
-            transitions = self._effective_transitions(state, TimerTrigger)
+            transitions = [
+                transition
+                for transition in self.machine.effective_transitions(state)
+                if isinstance(transition.trigger, TimerTrigger)
+            ]
             if not transitions:
                 continue
             lines.append(f"    case {self._state_const(state)}:")

@@ -29,6 +29,7 @@ forfeit completed simulation work.  Failure semantics are documented in
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from collections import deque
@@ -283,6 +284,10 @@ def _child_main(send_conn, payload) -> None:
     elapsed_s)``; a worker that dies without reporting (injected crash,
     real SIGKILL) is detected by the parent through the closed pipe.
     """
+    # the objects inherited from the parent stay out of this worker's
+    # collections: a full collection would walk them all, touching (and
+    # so copying) every page the fork shares with the parent
+    gc.freeze()
     index, spec, checkpoint_dir, every_events, fault_plan, fault_mode = payload
     started = time.perf_counter()
     try:

@@ -17,7 +17,7 @@ into chunks, each paying arbitration again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.observability.tracer import Tracer, bus_track
@@ -38,8 +38,9 @@ class TransferStats:
 
 @dataclass
 class _Transfer:
-    path: List[str]                   # remaining segments to cross
-    agents: List[str]                 # agent requesting each remaining hop
+    # (segment, requesting agent, wrapper spec) of each hop to cross;
+    # ``hop`` indexes the one requested or granted now
+    hops: Tuple[Tuple[str, str, WrapperSpec], ...]
     size_bytes: int
     on_complete: Callable[[int], None]  # called with total latency (ps)
     started_ps: int = 0
@@ -54,6 +55,7 @@ class _Transfer:
     # a checkpoint restore passes it back through a resolver to rebuild
     # on_complete/on_fault, since closures themselves cannot be snapshotted
     payload: Optional[dict] = None
+    hop: int = 0
 
 
 class _SegmentRuntime:
@@ -66,6 +68,8 @@ class _SegmentRuntime:
         self.stats = TransferStats()
         # the granted transfer and its pending _release event, while busy
         self.active: Optional[tuple] = None
+        # (requesting agent, bytes) -> (occupancy ps, words) of one grant
+        self.grants: Dict[Tuple[str, int], Tuple[int, int]] = {}
 
 
 class HibiBus:
@@ -90,6 +94,9 @@ class HibiBus:
             name: _SegmentRuntime(name, instance.spec)
             for name, instance in platform.segments.items()
         }
+        # (source PE, target PE) -> hops; resolved on first use, kept
+        # for this bus only, and stored only when the PEs are connected
+        self._routes: Dict[Tuple[str, str], tuple] = {}
 
     # ------------------------------------------------------------------
     # public interface
@@ -115,16 +122,13 @@ class HibiBus:
         ``on_complete`` — with the bit-flipped payload for a corruption,
         and not at all for a drop when no ``on_fault`` is given.
         """
-        path = self.platform.transfer_path(source_pe, target_pe)
-        if not path:
-            raise SimulationError(
-                f"transfer {source_pe!r}->{target_pe!r} needs no bus; deliver "
-                "locally instead"
+        hops = self._routes.get((source_pe, target_pe))
+        if hops is None:
+            hops = self._routes[(source_pe, target_pe)] = self._route(
+                source_pe, target_pe
             )
-        agents = [source_pe] + path[:-1]
         transfer = _Transfer(
-            path=list(path),
-            agents=agents,
+            hops=hops,
             size_bytes=size_bytes,
             on_complete=on_complete,
             started_ps=self.kernel.now_ps,
@@ -157,6 +161,22 @@ class HibiBus:
     # internals
     # ------------------------------------------------------------------
 
+    def _route(self, source_pe: str, target_pe: str) -> tuple:
+        """The hops of a transfer between two PEs (fewest segments)."""
+        path = self.platform.transfer_path(source_pe, target_pe)
+        if not path:
+            raise SimulationError(
+                f"transfer {source_pe!r}->{target_pe!r} needs no bus; deliver "
+                "locally instead"
+            )
+        return self._hops(path, [source_pe] + path[:-1])
+
+    def _hops(self, path: List[str], agents: List[str]) -> tuple:
+        return tuple(
+            (segment, agent, self._wrapper_between(agent, segment))
+            for segment, agent in zip(path, agents)
+        )
+
     def _wrapper_between(self, agent: str, segment: str) -> WrapperSpec:
         for wrapper in self.platform.wrappers:
             if wrapper.agent_name == agent and wrapper.segment_name == segment:
@@ -166,7 +186,7 @@ class HibiBus:
         raise SimulationError(f"no wrapper between {agent!r} and {segment!r}")
 
     def _request_next_hop(self, transfer: _Transfer) -> None:
-        if not transfer.path:
+        if transfer.hop == len(transfer.hops):
             latency = self.kernel.now_ps - transfer.started_ps
             if transfer.fault is not None:
                 if transfer.on_fault is not None:
@@ -174,10 +194,8 @@ class HibiBus:
                 return
             transfer.on_complete(latency)
             return
-        segment_name = transfer.path[0]
-        agent = transfer.agents[0]
+        segment_name, _agent, wrapper = transfer.hops[transfer.hop]
         runtime = self.segments[segment_name]
-        wrapper = self._wrapper_between(agent, segment_name)
         transfer.enqueued_ps = self.kernel.now_ps
         runtime.queue.append((wrapper, transfer))
         if self.tracer is not None:
@@ -198,10 +216,19 @@ class HibiBus:
         wrapper, transfer = runtime.queue.pop(index)
         runtime.busy = True
         runtime.last_served_address = wrapper.address
-        occupancy_cycles = self._occupancy_cycles(runtime.spec, wrapper, transfer)
-        duration_ps = cycles_to_ps(occupancy_cycles, runtime.spec.frequency_hz)
+        agent = transfer.hops[transfer.hop][1]
+        grant = runtime.grants.get((agent, transfer.size_bytes))
+        if grant is None:
+            grant = runtime.grants[(agent, transfer.size_bytes)] = (
+                cycles_to_ps(
+                    self._occupancy_cycles(runtime.spec, wrapper, transfer),
+                    runtime.spec.frequency_hz,
+                ),
+                runtime.spec.words_for_bytes(transfer.size_bytes),
+            )
+        duration_ps, words = grant
         runtime.stats.transfers += 1
-        runtime.stats.words += runtime.spec.words_for_bytes(transfer.size_bytes)
+        runtime.stats.words += words
         runtime.stats.busy_ps += duration_ps
         runtime.stats.wait_ps += self.kernel.now_ps - transfer.enqueued_ps
         if self.tracer is not None:
@@ -212,7 +239,7 @@ class HibiBus:
             if transfer.fault is not None:
                 args["fault"] = transfer.fault
             transfer.trace_handle = self.tracer.begin(
-                transfer.agents[0] if transfer.agents else "transfer",
+                agent,
                 bus_track(runtime.name),
                 category="bus",
                 time_ps=self.kernel.now_ps,
@@ -229,8 +256,7 @@ class HibiBus:
         if self.tracer is not None and transfer.trace_handle is not None:
             self.tracer.end(transfer.trace_handle, time_ps=self.kernel.now_ps)
             transfer.trace_handle = None
-        transfer.path = transfer.path[1:]
-        transfer.agents = transfer.agents[1:]
+        transfer.hop += 1
         self._request_next_hop(transfer)
         self._grant(runtime)
 
@@ -271,9 +297,10 @@ class HibiBus:
                 "system layer must pass payload= to transfer() for "
                 "checkpointing to work"
             )
+        hops = transfer.hops[transfer.hop:]
         return {
-            "path": list(transfer.path),
-            "agents": list(transfer.agents),
+            "path": [segment for segment, _, _ in hops],
+            "agents": [agent for _, agent, _ in hops],
             "size_bytes": transfer.size_bytes,
             "started_ps": transfer.started_ps,
             "enqueued_ps": transfer.enqueued_ps,
@@ -288,8 +315,7 @@ class HibiBus:
     ) -> _Transfer:
         on_complete, on_fault = resolve(data["payload"])
         return _Transfer(
-            path=list(data["path"]),
-            agents=list(data["agents"]),
+            hops=self._hops(data["path"], data["agents"]),
             size_bytes=int(data["size_bytes"]),
             on_complete=on_complete,
             started_ps=int(data["started_ps"]),
@@ -369,10 +395,7 @@ class HibiBus:
             )
             for transfer_data in data["queue"]:
                 transfer = self._restore_transfer(transfer_data, resolve)
-                wrapper = self._wrapper_between(
-                    transfer.agents[0], transfer.path[0]
-                )
-                runtime.queue.append((wrapper, transfer))
+                runtime.queue.append((transfer.hops[0][2], transfer))
             if data["active"] is not None:
                 transfer = self._restore_transfer(
                     data["active"]["transfer"], resolve

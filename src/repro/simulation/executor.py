@@ -29,6 +29,22 @@ from repro.uml.statemachine import (
 MAX_COMPLETION_CHAIN = 100
 
 
+def _trigger_name(trigger) -> Optional[str]:
+    """The signal or timer a trigger waits for (None for completion)."""
+    if isinstance(trigger, SignalTrigger):
+        return trigger.signal_name
+    if isinstance(trigger, TimerTrigger):
+        return trigger.timer_name
+    return None
+
+
+def _run(block, environment, owner) -> int:
+    """Execute an action block; an empty one costs no compiled call."""
+    if not block:
+        return 0
+    return execute(block, environment, owner)
+
+
 @dataclass
 class SendIntent:
     """A signal produced during a step, before routing."""
@@ -139,6 +155,10 @@ class ProcessExecutor:
         self.terminated = False
         # guards only read: every evaluation reuses this one environment
         self._guard_environment = _StepEnvironment(self.variables)
+        # (active leaf, trigger class, signal or timer name) -> the
+        # transitions that may fire, in selection order; filled on first
+        # use, so a model edited between two simulations is read afresh
+        self._candidates: Dict[tuple, Tuple[Transition, ...]] = {}
 
     # ------------------------------------------------------------------
     # steps
@@ -156,11 +176,11 @@ class ProcessExecutor:
         environment = _StepEnvironment(self.variables)
         initial = self.machine.initial_state
         outcome.from_state = initial.name
-        outcome.statements += execute(initial.entry, environment, initial)
+        outcome.statements += _run(initial.entry, environment, initial)
         node = initial
         while node.initial_substate is not None:
             node = node.initial_substate
-            outcome.statements += execute(node.entry, environment, node)
+            outcome.statements += _run(node.entry, environment, node)
         self.current = node
         self._chase_completions(outcome, environment)
         outcome.to_state = self.current.name
@@ -178,52 +198,30 @@ class ProcessExecutor:
         """
         self._require_running()
         guards = 0
-        chosen: Optional[Transition] = None
-        chosen_params: Dict[str, int] = {}
-        saw_trigger = False
-        for source in [self.current] + self.current.ancestors():
-            for transition in self.machine.outgoing(source):
-                trigger = transition.trigger
-                if not isinstance(trigger, SignalTrigger):
+        candidates = self._candidates_for(SignalTrigger, signal_name)
+        for transition in candidates:
+            params = self._bind_parameters(transition.trigger, args)
+            if transition.guard is not None:
+                guards += 1
+                if not self._guard_holds(transition, params):
                     continue
-                if trigger.signal_name != signal_name:
-                    continue
-                saw_trigger = True
-                params = self._bind_parameters(trigger, args)
-                if transition.guard is not None:
-                    guards += 1
-                    if not self._guard_holds(transition, params):
-                        continue
-                chosen = transition
-                chosen_params = params
-                break
-            if chosen is not None:
-                break
-        if chosen is None:
-            reason = "guards-false" if saw_trigger else "no-transition"
-            return None, reason
-        outcome = self._fire(chosen, chosen_params, f"{signal_name}")
-        outcome.guards_evaluated += guards
-        return outcome, None
+            outcome = self._fire(transition, params, signal_name)
+            outcome.guards_evaluated += guards
+            return outcome, None
+        return None, "guards-false" if candidates else "no-transition"
 
     def fire_timer(self, timer_name: str) -> Tuple[Optional[StepOutcome], Optional[str]]:
         """Handle a timer expiry; returns (outcome, None) or (None, reason)."""
         self._require_running()
         guards = 0
-        for source in [self.current] + self.current.ancestors():
-            for transition in self.machine.outgoing(source):
-                trigger = transition.trigger
-                if not isinstance(trigger, TimerTrigger):
+        for transition in self._candidates_for(TimerTrigger, timer_name):
+            if transition.guard is not None:
+                guards += 1
+                if not self._guard_holds(transition, {}):
                     continue
-                if trigger.timer_name != timer_name:
-                    continue
-                if transition.guard is not None:
-                    guards += 1
-                    if not self._guard_holds(transition, {}):
-                        continue
-                outcome = self._fire(transition, {}, f"timer:{timer_name}")
-                outcome.guards_evaluated += guards
-                return outcome, None
+            outcome = self._fire(transition, {}, f"timer:{timer_name}")
+            outcome.guards_evaluated += guards
+            return outcome, None
         return None, "no-transition"
 
     # ------------------------------------------------------------------
@@ -265,6 +263,22 @@ class ProcessExecutor:
         if self.terminated:
             raise SimulationError(f"process {self.name!r} has terminated")
 
+    def _candidates_for(
+        self, kind: type, name: Optional[str]
+    ) -> Tuple[Transition, ...]:
+        """Transitions with a ``kind`` trigger on ``name`` available in the
+        active leaf, in :meth:`StateMachine.effective_transitions` order."""
+        key = (self.current, kind, name)
+        candidates = self._candidates.get(key)
+        if candidates is None:
+            candidates = self._candidates[key] = tuple(
+                transition
+                for transition in self.machine.effective_transitions(self.current)
+                if isinstance(transition.trigger, kind)
+                and _trigger_name(transition.trigger) == name
+            )
+        return candidates
+
     def _bind_parameters(
         self, trigger: SignalTrigger, args: Sequence[int]
     ) -> Dict[str, int]:
@@ -293,7 +307,7 @@ class ProcessExecutor:
         environment.parameters = params
         if transition.internal:
             # Internal transition: effect only, no exit/entry, stay in state.
-            outcome.statements += execute(transition.effect, environment, transition)
+            outcome.statements += _run(transition.effect, environment, transition)
         else:
             self._take(transition, outcome, environment)
             environment.parameters = {}
@@ -316,19 +330,19 @@ class ProcessExecutor:
         # exit from the active leaf upward to (exclusive) the LCA
         node = self.current
         while node is not None and node is not lca:
-            outcome.statements += execute(node.exit, environment, node)
+            outcome.statements += _run(node.exit, environment, node)
             node = node.parent
-        outcome.statements += execute(transition.effect, environment, transition)
+        outcome.statements += _run(transition.effect, environment, transition)
         # enter from below the LCA down to the target
         for state in target.path_from_root():
             if lca is not None and (state is lca or not lca.contains(state)):
                 continue  # the LCA and anything above it were never exited
-            outcome.statements += execute(state.entry, environment, state)
+            outcome.statements += _run(state.entry, environment, state)
         # ... and descend the initial-substate chain
         node = target
         while node.initial_substate is not None:
             node = node.initial_substate
-            outcome.statements += execute(node.entry, environment, node)
+            outcome.statements += _run(node.entry, environment, node)
         self.current = node
         if self.current.is_final and self.current.parent is None:
             self.terminated = True
@@ -354,23 +368,16 @@ class ProcessExecutor:
         """
         environment.parameters = {}
         for _ in range(MAX_COMPLETION_CHAIN):
-            fired = False
-            for source in [self.current] + self.current.ancestors():
-                for transition in self.machine.outgoing(source):
-                    if not isinstance(transition.trigger, CompletionTrigger):
+            for transition in self._candidates_for(CompletionTrigger, None):
+                if transition.guard is not None:
+                    outcome.guards_evaluated += 1
+                    if not self._guard_holds(transition, {}):
                         continue
-                    if transition.guard is not None:
-                        outcome.guards_evaluated += 1
-                        if not self._guard_holds(transition, {}):
-                            continue
-                    self._take(transition, outcome, environment)
-                    fired = True
-                    if self.terminated:
-                        return
-                    break
-                if fired:
-                    break
-            if not fired:
+                self._take(transition, outcome, environment)
+                if self.terminated:
+                    return
+                break
+            else:
                 return
         raise SimulationError(
             f"process {self.name!r} chained more than {MAX_COMPLETION_CHAIN} "

@@ -274,6 +274,15 @@ class SystemSimulation:
                     )
                 self.pe_of_process[name] = pe_name
         self.timers: Dict[Tuple[str, str], object] = {}
+        # Static wiring, resolved on first use and kept for this run only:
+        # (sender, signal, via) -> (receiver, wire bytes, sender PE,
+        # receiver PE); process -> priority and process type; PE ->
+        # receive delay.  A failed lookup stores nothing, so it raises
+        # again wherever it is repeated.
+        self._sends: Dict[tuple, tuple] = {}
+        self._priorities: Dict[str, int] = {}
+        self._process_types: Dict[str, str] = {}
+        self._receive_delays: Dict[str, int] = {}
         self.dropped = 0
         self._started = False
         self._restored = False
@@ -406,7 +415,11 @@ class SystemSimulation:
             self._run_environment_step(activation)
             return
         runtime = self.pe_runtimes[pe_name]
-        priority = self.application.find_process(activation.process).priority()
+        priority = self._priorities.get(activation.process)
+        if priority is None:
+            priority = self._priorities[activation.process] = (
+                self.application.find_process(activation.process).priority()
+            )
         runtime.enqueue(activation, priority)
         if self.tracer is not None:
             # ready-queue depth sample: its high-water mark feeds metrics
@@ -447,9 +460,13 @@ class SystemSimulation:
                 if self.tracer is not None:
                     self._trace_drop(activation, reason or "no-transition")
                 continue
-            process = self.application.find_process(activation.process)
+            process_type = self._process_types.get(activation.process)
+            if process_type is None:
+                process_type = self._process_types[activation.process] = (
+                    self.application.find_process(activation.process).process_type()
+                )
             cost = runtime.cost_model.step_cost(
-                process_type=process.process_type(),
+                process_type=process_type,
                 statements=outcome.statements,
                 guards_evaluated=outcome.guards_evaluated,
                 sends=len(outcome.sends),
@@ -606,11 +623,17 @@ class SystemSimulation:
             self._dispatch_send(process_name, intent)
 
     def _dispatch_send(self, sender: str, intent: SendIntent) -> None:
-        receiver, _port = self.application.route(sender, intent.signal, intent.via)
-        signal = self.application.find_signal(intent.signal)
-        size = signal.size_bytes()
-        sender_pe = self.pe_of_process[sender]
-        receiver_pe = self.pe_of_process[receiver]
+        key = (sender, intent.signal, intent.via)
+        wiring = self._sends.get(key)
+        if wiring is None:
+            receiver, _port = self.application.route(*key)
+            wiring = self._sends[key] = (
+                receiver,
+                self.application.find_signal(intent.signal).size_bytes(),
+                self.pe_of_process[sender],
+                self.pe_of_process[receiver],
+            )
+        receiver, size, sender_pe, receiver_pe = wiring
         if self.tracer is not None:
             self.tracer.instant(
                 intent.signal,
@@ -732,11 +755,13 @@ class SystemSimulation:
         self._schedule_deliver(self._receive_delay_ps(receiver_pe), activation)
 
     def _receive_delay_ps(self, pe_name: str) -> int:
-        runtime = self.pe_runtimes[pe_name]
-        return cycles_to_ps(
-            runtime.cost_model.receive_cost_cycles(),
-            runtime.cost_model.spec.frequency_hz,
-        )
+        delay = self._receive_delays.get(pe_name)
+        if delay is None:
+            cost_model = self.pe_runtimes[pe_name].cost_model
+            delay = self._receive_delays[pe_name] = cycles_to_ps(
+                cost_model.receive_cost_cycles(), cost_model.spec.frequency_hz
+            )
+        return delay
 
     # ------------------------------------------------------------------
     # checkpoint/restore protocol

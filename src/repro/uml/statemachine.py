@@ -336,6 +336,19 @@ class StateMachine(NamedElement):
         candidates.sort(key=lambda t: (t.priority, t.serial))
         return candidates
 
+    def effective_transitions(self, leaf: State) -> List[Transition]:
+        """Transitions available while ``leaf`` is the active state.
+
+        The leaf's own transitions come first, then those of each enclosing
+        state, innermost first; each group is in (priority, declaration)
+        order.  This is the order in which the simulator tries transitions,
+        and the generated C and the static analyses follow it.
+        """
+        available: List[Transition] = []
+        for source in [leaf] + leaf.ancestors():
+            available.extend(self.outgoing(source))
+        return available
+
     def received_signal_names(self) -> List[str]:
         """All signal names the machine consumes (its input alphabet)."""
         names = {

@@ -166,6 +166,28 @@ class TestMaxReservation:
         unlimited, _ = run_transfer(free_platform, "cpu1", "cpu2", 256)
         assert limited > unlimited
 
+    def test_each_wrapper_keeps_its_limit_on_one_bus(self):
+        platform = PlatformModel("P", standard_library())
+        platform.instantiate("cpu1", "NiosCPU")
+        platform.instantiate("cpu2", "NiosCPU")
+        platform.segment("seg", "HIBISegment")
+        platform.attach("cpu1", "seg", address=0x100, max_reservation_cycles=8)
+        platform.attach("cpu2", "seg", address=0x200)
+        expected = {
+            source: run_transfer(platform, source, target, 256)[0]
+            for source, target in (("cpu2", "cpu1"), ("cpu1", "cpu2"))
+        }
+        assert expected["cpu1"] > expected["cpu2"]
+        # one bus, same segment and size: each requesting wrapper's own
+        # reservation limit still decides the occupancy
+        kernel = Kernel()
+        bus = HibiBus(platform, kernel)
+        for source, target in (("cpu2", "cpu1"), ("cpu1", "cpu2")):
+            done = []
+            bus.transfer(source, target, 256, done.append)
+            kernel.run()
+            assert done == [expected[source]]
+
 
 class TestUtilization:
     def test_utilization_fraction(self):

@@ -129,6 +129,44 @@ class TestSignals:
         executor.consume_signal("s", [])
         assert executor.variables["which"] == 2
 
+    def test_new_transition_seen_by_next_executor(self):
+        m = machine()
+        m.variable("which", 0)
+        m.state("a", initial=True)
+        m.on_signal("a", "a", "s", effect="which = 2;", priority=2, internal=True)
+        first = ProcessExecutor("p", m)
+        first.start()
+        first.consume_signal("s", [])
+        assert first.variables["which"] == 2
+        m.on_signal("a", "a", "s", effect="which = 1;", priority=1, internal=True)
+        second = ProcessExecutor("p", m)
+        second.start()
+        second.consume_signal("s", [])
+        assert second.variables["which"] == 1
+
+    def test_empty_blocks_cost_no_call(self, monkeypatch):
+        import repro.simulation.executor as executor_module
+
+        calls = []
+        real_execute = executor_module.execute
+
+        def counting_execute(block, environment, owner=None):
+            calls.append(block)
+            return real_execute(block, environment, owner)
+
+        monkeypatch.setattr(executor_module, "execute", counting_execute)
+        m = machine()
+        m.variable("x", 0)
+        m.state("a", initial=True)
+        m.state("b", entry="x = 1;")
+        m.on_signal("a", "b", "go")
+        executor = ProcessExecutor("p", m)
+        executor.start()
+        outcome, _ = executor.consume_signal("go", [])
+        # a's entry and exit and the effect are empty: only b's entry runs
+        assert len(calls) == 1
+        assert outcome.statements == 1
+
 
 class TestInternalVsExternal:
     def test_external_self_transition_reruns_entry(self):

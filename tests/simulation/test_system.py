@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ModelError, SimulationError
 from repro.application import ApplicationModel
 from repro.mapping import MappingModel
 from repro.platform import PlatformModel, standard_library
 from repro.simulation import SystemSimulation, TRANSPORT_BUS, TRANSPORT_ENV, TRANSPORT_LOCAL
+from repro.tutprofile import APPLICATION_PROCESS
 from repro.uml import Port
+from repro.uml.structure import ConnectorEnd
 
 from tests.conftest import build_pingpong, build_two_cpu_platform
 
@@ -88,56 +90,57 @@ class TestLifecycle:
         assert result.end_time_ps == 5_000 * 1_000_000
 
 
+def build_priority_app():
+    """Three jobs land while the PE is busy; dequeue order shows priority.
+
+    One source sends lo, hi, lo2 in a single step, so all three jobs
+    arrive at the same instant.  The first delivery seizes the idle PE
+    with a slow handler; the remaining two queue and must be granted by
+    priority (worker_hi before worker_lo2) rather than arrival order.
+    """
+    app = ApplicationModel("Prio")
+    app.signal("job", [("n", "Int32")])
+    worker = app.component("Worker")
+    worker.add_port(Port("inp", provided=["job"]))
+    machine = app.behavior(worker)
+    machine.variable("done", 0)
+    machine.variable("i", 0)
+    machine.state("s", initial=True)
+    machine.on_signal(
+        "s", "s", "job", params=["n"],
+        effect="i = 0; while (i < 50) { i = i + 1; } done = done + 1;",
+        internal=True,
+    )
+    source = app.component("Source")
+    source.add_port(Port("out_first", required=["job"]))
+    source.add_port(Port("out_hi", required=["job"]))
+    source.add_port(Port("out_lo", required=["job"]))
+    machine2 = app.behavior(source)
+    machine2.state(
+        "s",
+        initial=True,
+        entry=(
+            "send job(1) via out_first;"
+            "send job(2) via out_lo;"
+            "send job(3) via out_hi;"
+        ),
+    )
+    app.process(app.top, "worker_first", worker, priority=0)
+    app.process(app.top, "worker_lo", worker, priority=1)
+    app.process(app.top, "worker_hi", worker, priority=9)
+    app.process(app.top, "src", source, priority=0)
+    app.connect(app.top, ("src", "out_first"), ("worker_first", "inp"))
+    app.connect(app.top, ("src", "out_lo"), ("worker_lo", "inp"))
+    app.connect(app.top, ("src", "out_hi"), ("worker_hi", "inp"))
+    app.group("g")
+    for name in ("worker_first", "worker_lo", "worker_hi", "src"):
+        app.assign(name, "g")
+    return app
+
+
 class TestPriorityScheduling:
-    def build_priority_app(self):
-        """Three jobs land while the PE is busy; dequeue order shows priority.
-
-        One source sends lo, hi, lo2 in a single step, so all three jobs
-        arrive at the same instant.  The first delivery seizes the idle PE
-        with a slow handler; the remaining two queue and must be granted by
-        priority (worker_hi before worker_lo2) rather than arrival order.
-        """
-        app = ApplicationModel("Prio")
-        app.signal("job", [("n", "Int32")])
-        worker = app.component("Worker")
-        worker.add_port(Port("inp", provided=["job"]))
-        machine = app.behavior(worker)
-        machine.variable("done", 0)
-        machine.variable("i", 0)
-        machine.state("s", initial=True)
-        machine.on_signal(
-            "s", "s", "job", params=["n"],
-            effect="i = 0; while (i < 50) { i = i + 1; } done = done + 1;",
-            internal=True,
-        )
-        source = app.component("Source")
-        source.add_port(Port("out_first", required=["job"]))
-        source.add_port(Port("out_hi", required=["job"]))
-        source.add_port(Port("out_lo", required=["job"]))
-        machine2 = app.behavior(source)
-        machine2.state(
-            "s",
-            initial=True,
-            entry=(
-                "send job(1) via out_first;"
-                "send job(2) via out_lo;"
-                "send job(3) via out_hi;"
-            ),
-        )
-        app.process(app.top, "worker_first", worker, priority=0)
-        app.process(app.top, "worker_lo", worker, priority=1)
-        app.process(app.top, "worker_hi", worker, priority=9)
-        app.process(app.top, "src", source, priority=0)
-        app.connect(app.top, ("src", "out_first"), ("worker_first", "inp"))
-        app.connect(app.top, ("src", "out_lo"), ("worker_lo", "inp"))
-        app.connect(app.top, ("src", "out_hi"), ("worker_hi", "inp"))
-        app.group("g")
-        for name in ("worker_first", "worker_lo", "worker_hi", "src"):
-            app.assign(name, "g")
-        return app
-
     def test_higher_priority_process_dequeued_first(self):
-        app = self.build_priority_app()
+        app = build_priority_app()
         platform = PlatformModel("OneCpu", standard_library())
         platform.instantiate("cpu1", "NiosCPU")
         mapping = MappingModel(app, platform)
@@ -291,3 +294,171 @@ class TestDrops:
         result = SystemSimulation(app, platform, mapping).run(1_000)
         assert result.dropped_signals == 1
         assert result.log.drop_records[0].process == "deaf1"
+
+
+# ---------------------------------------------------------------------------
+# static wiring: resolved once per simulation, never carried across runs
+# ---------------------------------------------------------------------------
+
+
+def pingpong_system():
+    app = build_pingpong()
+    platform = build_two_cpu_platform()
+    mapping = MappingModel(app, platform)
+    mapping.map("g1", "cpu1")
+    mapping.map("g2", "cpu2")
+    return app, platform, mapping
+
+
+def priority_system():
+    app = build_priority_app()
+    platform = build_two_cpu_platform()
+    mapping = MappingModel(app, platform)
+    mapping.map("g", "cpu1")
+    return app, platform, mapping
+
+
+def add_urgent_transition(app, platform, mapping):
+    """pong1 now answers tick with a new, silent transition tried first."""
+    app.find_process("pong1").behavior.on_signal(
+        "ready", "ready", "tick", params=["n"],
+        effect="echoed = echoed + 100;", internal=True, priority=-1,
+    )
+
+
+def raise_priority(app, platform, mapping):
+    """worker_first now outranks worker_hi."""
+    part = app.find_process("worker_first").part
+    part.stereotype_application(APPLICATION_PROCESS).set("Priority", 20)
+
+
+def rewire_to_new_process(app, platform, mapping):
+    """ping1's connector now ends at a new pong on ping1's own CPU (adding
+    the process also drops the application's own route cache)."""
+    pong2 = app.process(app.top, "pong2", app.find_process("pong1").component)
+    app.assign("pong2", "g1")
+    (connector,) = app.top.connectors
+    ping_end, pong_end = connector.ends
+    connector.set_ends(ping_end, ConnectorEnd(pong_end.port, pong2.part))
+
+
+def remap_pong(app, platform, mapping):
+    mapping.remap("g2", "cpu1")
+
+
+class TestWiringIsReadPerSimulation:
+    """A model edited between two simulations runs as if built with the edit."""
+
+    @pytest.mark.parametrize(
+        "build, edit",
+        [
+            (pingpong_system, add_urgent_transition),
+            (priority_system, raise_priority),
+            (pingpong_system, rewire_to_new_process),
+            (pingpong_system, remap_pong),
+        ],
+        ids=["new-transition", "priority-tag", "rewired-connector", "remapped"],
+    )
+    def test_edit_between_simulations_is_seen(self, build, edit):
+        system = build()
+        before = SystemSimulation(*system).run(2_000).writer.render()
+        edit(*system)
+        after = SystemSimulation(*system).run(2_000).writer.render()
+        edited_first = build()
+        edit(*edited_first)
+        expected = SystemSimulation(*edited_first).run(2_000).writer.render()
+        assert after == expected
+        assert after != before
+
+
+def talker_system(
+    listeners=1, wired=True, listener_params=(), listener_type="general"
+):
+    """A talker sends ``x()`` via ``out`` every 40 us to listener r1 (and r2)
+    on a second PE: a NiosDSP, which cannot run hardware processes."""
+    app = ApplicationModel("Talk")
+    app.signal("x")
+    listener = app.component("Listener")
+    listener.add_port(Port("inp", provided=["x"]))
+    machine = app.behavior(listener)
+    machine.state("s", initial=True)
+    machine.on_signal("s", "s", "x", params=list(listener_params), internal=True)
+    talker = app.component("Talker")
+    talker.add_port(Port("out", required=["x"]))
+    machine2 = app.behavior(talker)
+    machine2.state("s", initial=True, entry="set_timer(t, 40);")
+    machine2.on_timer(
+        "s", "s", "t", effect="send x() via out; set_timer(t, 40);",
+        internal=True,
+    )
+    app.process(app.top, "talker1", talker)
+    app.group("gt")
+    app.assign("talker1", "gt")
+    app.group("gl")
+    for index in range(1, listeners + 1):
+        name = f"r{index}"
+        app.process(app.top, name, listener, process_type=listener_type)
+        app.assign(name, "gl")
+        if wired:
+            app.connect(app.top, ("talker1", "out"), (name, "inp"))
+    platform = PlatformModel("CpuDsp", standard_library())
+    platform.instantiate("cpu1", "NiosCPU")
+    platform.instantiate("dsp1", "NiosDSP")
+    platform.segment("seg1", "HIBISegment")
+    platform.attach("cpu1", "seg1", address=0x100)
+    platform.attach("dsp1", "seg1", address=0x200)
+    mapping = MappingModel(app, platform)
+    mapping.map("gt", "cpu1")
+    mapping.map("gl", "dsp1")
+    return app, platform, mapping
+
+
+class TestWiringErrors:
+    """Wiring errors raise the same error at the same simulated event, in
+    every simulation of the model: a failed lookup is never stored."""
+
+    @pytest.mark.parametrize(
+        "options, error, message, time_ps, dispatched",
+        [
+            (
+                {"wired": False},
+                ModelError,
+                "no route for signal 'x' from process 'talker1' via port 'out'",
+                42_000_000,
+                5,
+            ),
+            (
+                {"listeners": 2},
+                ModelError,
+                "signal 'x' from process 'talker1' is ambiguous: r1.inp, r2.inp",
+                42_000_000,
+                7,
+            ),
+            (
+                {"listener_params": ("n",)},
+                SimulationError,
+                "signal 'x' delivered 0 argument(s) but process 'r1' binds 1",
+                42_680_000,
+                7,
+            ),
+            (
+                {"listener_type": "hardware"},
+                ModelError,
+                "PE 'NiosDSP' cannot execute 'hardware' processes",
+                0,
+                0,
+            ),
+        ],
+        ids=["no-route", "ambiguous", "arity", "process-type"],
+    )
+    def test_error_raised_at_the_same_event(
+        self, options, error, message, time_ps, dispatched
+    ):
+        system = talker_system(**options)
+        for _ in range(2):
+            simulation = SystemSimulation(*system)
+            with pytest.raises(error) as excinfo:
+                simulation.run(1_000)
+            assert str(excinfo.value) == message
+            assert simulation.kernel.now_ps == time_ps
+            assert simulation.kernel.dispatched == dispatched

@@ -20,8 +20,8 @@ Definitions (``T`` = simulated end time in ps):
 * **Queue high-water marks** — the maximum sampled depth of each PE
   ready queue, each segment request queue (the wrapper FIFO), and the
   kernel scheduler queue.  Kernel samples are matched by track, not by
-  counter name, so traces recorded before the calendar-queue kernel
-  (counter ``events``) aggregate identically to current ones
+  counter name, so traces recorded by older versions (counter
+  ``events``) aggregate identically to current ones
   (``queue_depth``).
 * **Signal latency histograms** — send→delivery latency, bucketed by
   powers of two (bucket key ``2**k`` holds latencies in

@@ -38,8 +38,8 @@ group       lane                     carries
 ``system``  ``dispatch``             send/deliver/drop/fault instants
 ``kernel``  ``scheduler``            scheduler queue-depth samples (the
                                      ``queue_depth`` counter; traces
-                                     recorded before the calendar-queue
-                                     kernel named it ``events``)
+                                     recorded by older versions named
+                                     it ``events``)
 ==========  =======================  ===================================
 """
 

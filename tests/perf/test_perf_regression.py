@@ -63,7 +63,8 @@ def test_kernel_event_throughput_floor():
 
 
 def test_kernel_event_throughput_floor_tracing_disabled():
-    """tracer=None must cost one predicate per dispatch: same floor applies."""
+    """With no tracer or after_event hook installed, each dispatch pays
+    two ``None`` checks for them: the same floor applies."""
     rate = _measure_kernel_events_per_s(
         Kernel(max_events=10_000_000, tracer=None)
     )

@@ -3,7 +3,9 @@
 ``perfbench/reference.json`` pins fault-free TUTMAC and the generated
 corpus.  The digests here pin the other simulator paths: ARQ TUTMAC under
 every fault kind, «PlatformRtos» scheduling with a tick period and
-dispatch overhead, and an interrupted and resumed faulted run.  A digest
+dispatch overhead, an interrupted and resumed faulted run, and a traced
+TUTMAC run's tutlog, Chrome trace (with its kernel ``queue_depth``
+samples), final snapshot hash and dispatched-event count.  A digest
 moves only when simulated behaviour moves; a speed-up of the simulator
 must leave every one of them unchanged.
 """
@@ -20,10 +22,13 @@ from repro.checkpoint import (
     CheckpointStore,
     EveryEvents,
     resume_simulation,
+    state_hash,
 )
 from repro.errors import SimulationInterrupted
 from repro.faults import FaultPlan, PEWindow
 from repro.faults.plan import FAULT_KINDS, PE_CRASH, PE_STALL, SIGNAL_DROP
+from repro.observability.export import render_chrome_trace
+from repro.observability.tracer import Tracer
 from repro.simulation.system import SystemSimulation
 
 from tests.simulation.test_rtos_scheduling import run_with_policy
@@ -45,6 +50,24 @@ GOLDEN = {
         "6f0e4a599e4bc31cb8561a4012fba4c996e9b136ceddca789be97848e9004bc6",
     "workers-round-robin":
         "6f0e4a599e4bc31cb8561a4012fba4c996e9b136ceddca789be97848e9004bc6",
+}
+
+#: traced TUTMAC runs: (tutlog, Chrome trace, final snapshot hash,
+#: dispatched events).  At 2 ms the run dispatches fewer events than one
+#: queue-depth sampling stride; the 20 ms trace carries 12 samples.
+GOLDEN_TRACED = {
+    2_000: (
+        "ff362c2f16ba1e18839c501a40acdc296bf7b932233412103e502b549da7bf72",
+        "7d621a517012ffd3ec3f816a163101bcaf6a6f37b2edf7828c3fbca7ee39ac3d",
+        "c50468259d87a164775a083dd9f278f29cc4ca1512f820adbdddf63693f5a0b3",
+        55,
+    ),
+    20_000: (
+        "460ce77d9a87756659ae27366924a6c032ed4b6c4283f02017b3a120a8fbb708",
+        "45a17a033d82c7555457670bbf1a676f848086e83a5da723f38d13a5036471b3",
+        "414dcbe452e97e824df3ef091b28ab7a5cd3f06c2a2241345d8715a0d2ef3bfb",
+        820,
+    ),
 }
 
 
@@ -123,3 +146,18 @@ def test_tutmac_under_fifo_and_round_robin_rtos():
 def test_worker_fixture_with_tick_and_overhead(policy):
     _, result = run_with_policy(policy, dispatch_overhead=200, tick=100)
     assert digest(result.writer.render()) == GOLDEN[f"workers-{policy}"]
+
+
+@pytest.mark.parametrize("duration_us", sorted(GOLDEN_TRACED))
+def test_traced_tutmac_run(duration_us):
+    application, platform, mapping = build_tutwlan_system()
+    simulation = SystemSimulation(
+        application, platform, mapping, tracer=Tracer()
+    )
+    result = simulation.run(duration_us)
+    assert (
+        digest(result.writer.render()),
+        digest(render_chrome_trace(simulation.tracer)),
+        state_hash(simulation.state_dict()),
+        result.dispatched_events,
+    ) == GOLDEN_TRACED[duration_us]

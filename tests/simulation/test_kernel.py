@@ -1,10 +1,21 @@
-"""Discrete-event kernel: ordering, cancellation, budget."""
+"""Discrete-event kernel: ordering, cancellation, budget, hooks, restore."""
+
+import random
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation import Kernel, cycles_to_ps
-from repro.simulation.kernel import EV_SEQ, PS_PER_US
+from repro.observability.tracer import KERNEL_TRACK, Tracer
+from repro.simulation import QUEUE_DEPTH_COUNTER, Kernel, cycles_to_ps
+from repro.simulation.kernel import (
+    EV_CALLBACK,
+    EV_CANCELLED,
+    EV_DISPATCHED,
+    EV_SEQ,
+    EV_TIME,
+    PS_PER_US,
+    TRACE_STRIDE,
+)
 
 
 class TestScheduling:
@@ -178,15 +189,16 @@ class TestPendingCounter:
 
     def test_tombstones_are_compacted(self):
         # cancel-heavy models (timer resets) must not grow the queue
-        # unboundedly: once tombstones outnumber live events every
-        # structure is rebuilt with only live entries
+        # unboundedly: once tombstones outnumber live events the heap is
+        # rebuilt with only live entries
         kernel = Kernel()
         events = [kernel.schedule(d + 1, lambda: None) for d in range(100)]
         for event in events[:90]:
             kernel.cancel(event)
         assert kernel.pending == 10
-        assert kernel._size - kernel._tombstones == 10
-        assert kernel._size < 30
+        heap = kernel._heap
+        assert sum(not e[EV_CANCELLED] for e in heap) == 10
+        assert len(heap) < 30
         assert kernel.run() == 10
 
 
@@ -251,3 +263,158 @@ class TestStateProtocol:
         kernel.schedule(20, lambda: None)
         kernel.run()
         assert calls == [10, 20]
+
+    def test_pending_events_replay_identically_after_restore(self):
+        # the snapshot records no queue layout: events re-materialized
+        # from a cut replay in the order the uninterrupted run used
+        def workload(kernel):
+            rng = random.Random(99)
+            return [
+                kernel.schedule(rng.randrange(1, 2_000_000), lambda: None)
+                for _ in range(300)
+            ]
+
+        reference = Kernel()
+        events = workload(reference)
+        reference.run(until_ps=500_000)
+        survivors = [
+            (e[EV_TIME], e[EV_SEQ]) for e in events if not e[EV_DISPATCHED]
+        ]
+        state = reference.state_dict()
+        reference.run()
+
+        target = Kernel()
+        target.load_state_dict(state)
+        replay = []
+        for time_ps, sequence in survivors:
+            target.restore_event(
+                time_ps, sequence, lambda s=sequence: replay.append(s)
+            )
+        assert target.pending == len(survivors)
+        target.run()
+        assert replay == [s for _, s in sorted(survivors)]
+        assert target.now_ps == reference.now_ps
+        assert target.dispatched == reference.dispatched
+
+
+class TestQueueEdgeCases:
+    def test_compaction_preserves_order_under_cancel_storm(self):
+        kernel = Kernel()
+        fired = []
+        rng = random.Random(17)
+        events = [
+            kernel.schedule(
+                rng.randrange(1, 5_000_000), lambda i=i: fired.append(i)
+            )
+            for i in range(400)
+        ]
+        keep = []
+        for index, event in enumerate(events):
+            if index % 5 == 0:
+                keep.append((event[EV_TIME], event[EV_SEQ], index))
+            else:
+                kernel.cancel(event)
+        assert kernel.pending == len(keep)
+        kernel.run()
+        assert fired == [index for _, _, index in sorted(keep)]
+
+    def test_compaction_inside_a_callback_keeps_later_schedules(self):
+        # run() holds the heap list while a callback's cancels compact it,
+        # so compaction must keep the list's identity
+        kernel = Kernel()
+        fired = []
+        timers = [kernel.schedule(1_000 + d, lambda: None) for d in range(20)]
+
+        def reset_timers():
+            for event in timers:
+                kernel.cancel(event)
+            kernel.schedule(5, lambda: fired.append("after reset"))
+
+        kernel.schedule(10, reset_timers)
+        kernel.run()
+        assert fired == ["after reset"]
+        assert kernel.pending == 0
+
+    def test_hook_registered_mid_run_takes_effect(self):
+        # a callback that installs after_event gets the hook called for
+        # its own dispatch; one that removes it does not
+        kernel = Kernel()
+        seen = []
+
+        def hook():
+            seen.append(kernel.dispatched)
+
+        def install():
+            kernel.after_event = hook
+
+        kernel.schedule(10, install)
+        kernel.schedule(20, lambda: None)
+        kernel.schedule(30, lambda: setattr(kernel, "after_event", None))
+        kernel.schedule(40, lambda: None)
+        kernel.run()
+        assert seen == [1, 2]
+
+    def test_queue_depth_sampled_every_stride(self):
+        # a sample counts live events only: tombstones never show
+        tracer = Tracer()
+        kernel = Kernel(tracer=tracer)
+        total = 3 * TRACE_STRIDE + 8
+        events = [kernel.schedule(d + 1, lambda: None) for d in range(total)]
+        kernel.cancel(events[-1])
+        kernel.run()
+        samples = [
+            (c.name, c.track, c.time_ps, c.values) for c in tracer.counters()
+        ]
+        assert samples == [
+            (
+                QUEUE_DEPTH_COUNTER,
+                KERNEL_TRACK,
+                n * TRACE_STRIDE,
+                {"depth": total - 1 - n * TRACE_STRIDE},
+            )
+            for n in (1, 2, 3)
+        ]
+
+
+def _event_soup(kernel, seed, until_ps):
+    """A seeded storm of schedules and cancels issued from callbacks.
+
+    Returns every event ever scheduled and the ``(time_ps, sequence)`` of
+    each dispatch, in dispatch order.
+    """
+    rng = random.Random(seed)
+    scheduled = []
+    dispatched = []
+
+    def schedule(delay):
+        event = kernel.schedule(delay, None)
+        event[EV_CALLBACK] = lambda: work(event)
+        scheduled.append(event)
+
+    def work(event):
+        dispatched.append((kernel.now_ps, event[EV_SEQ]))
+        action = rng.random()
+        if action < 0.55:
+            schedule(rng.choice((0, 7, 512, 1_024, 65_536, 10_000_000)))
+        if action < 0.2:
+            kernel.cancel(rng.choice(scheduled))
+
+    for _ in range(64):
+        schedule(rng.randrange(0, 100_000))
+    kernel.run(until_ps=until_ps)
+    return scheduled, dispatched
+
+
+@pytest.mark.parametrize("seed", [3, 11, 42])
+def test_event_soup_dispatches_in_sorted_order(seed):
+    """Dispatch order is the sorted (time, sequence) of uncancelled events."""
+    until_ps = 50_000_000
+    scheduled, dispatched = _event_soup(Kernel(), seed, until_ps)
+    expected = sorted(
+        (event[EV_TIME], event[EV_SEQ])
+        for event in scheduled
+        if not event[EV_CANCELLED] and event[EV_TIME] <= until_ps
+    )
+    assert dispatched == expected
+    assert len(dispatched) > 100
+    assert any(event[EV_CANCELLED] for event in scheduled)

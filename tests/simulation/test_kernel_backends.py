@@ -1,81 +1,18 @@
-"""Calendar-queue kernel vs the legacy heap kernel: one contract.
+"""Queue edge cases, run against both public names of the kernel.
 
-The calendar rewrite's correctness oracle: every backend reachable via
-``select_backend`` must produce **byte-identical** artefacts — tutlog,
-Chrome trace, checkpoint snapshot hashes, exploration rankings — for any
-model, any worker count, and any checkpoint geometry.  These tests pin
-that plus the calendar queue's own edge cases (same-tick FIFO, overflow
-migration, tombstones, restore into a differently-shaped queue).
+``Kernel`` is the class every simulation uses; ``HeapKernel`` is the name
+the benchmark harness patches.  Both must schedule, cancel, stop and hook
+exactly alike.
 """
-
-import random
 
 import pytest
 
-from repro.cases.tutwlan import build_tutwlan_system
-from repro.checkpoint import (
-    Checkpointer,
-    CheckpointStore,
-    EveryEvents,
-    resume_simulation,
-    state_hash,
+from repro.simulation.kernel import HeapKernel, Kernel
+
+
+@pytest.mark.parametrize(
+    "backend", [Kernel, HeapKernel], ids=["Kernel", "HeapKernel"]
 )
-from repro.errors import SimulationError, SimulationInterrupted
-from repro.exploration import mapping_sweep_specs, run_candidates
-from repro.observability.export import render_chrome_trace
-from repro.observability.tracer import Tracer
-from repro.simulation.kernel import (
-    BACKEND_ENV_VAR,
-    EV_SEQ,
-    HeapKernel,
-    Kernel,
-    select_backend,
-)
-from repro.simulation.system import SystemSimulation
-
-TUTWLAN_BUILDER = "repro.cases.tutwlan:exploration_factory"
-DURATION_US = 2_000
-
-
-class TestSelectBackend:
-    def test_named_backends(self):
-        assert select_backend("calendar") is Kernel
-        assert select_backend("heap") is HeapKernel
-
-    def test_default_is_calendar(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert select_backend() is Kernel
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "heap")
-        assert select_backend() is HeapKernel
-
-    def test_explicit_name_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "heap")
-        assert select_backend("calendar") is Kernel
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError, match="unknown kernel backend"):
-            select_backend("quantum")
-
-    def test_compiled_requires_extension(self):
-        # the mypyc extension is optional and not built here
-        with pytest.raises(SimulationError, match="not built"):
-            select_backend("compiled")
-
-    def test_auto_falls_back_to_calendar(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
-        assert select_backend() is Kernel
-
-    def test_system_simulation_accepts_backend(self):
-        application, platform, mapping = build_tutwlan_system()
-        simulation = SystemSimulation(
-            application, platform, mapping, kernel_backend="heap"
-        )
-        assert isinstance(simulation.kernel, HeapKernel)
-
-
-@pytest.mark.parametrize("backend", [Kernel, HeapKernel])
 class TestQueueEdgeCases:
     def test_same_tick_fifo_order(self, backend):
         # a whole tick of same-time events fires in scheduling order,
@@ -96,55 +33,28 @@ class TestQueueEdgeCases:
         assert fired == ["first"] + list(range(50)) + ["nested", "late"]
 
     def test_far_future_overflow_ordering(self, backend):
-        # delays far beyond the calendar's bucket window must overflow
-        # and migrate back without perturbing dispatch order
+        # delays spanning nine orders of magnitude dispatch in time order
         kernel = backend()
         fired = []
-        delays = [
-            5, 1_000, 40_000, 70_000_000, 3_000_000_000, 70_000_001, 6
-        ]
+        delays = [5, 1_000, 40_000, 70_000_000, 3_000_000_000, 70_000_001, 6]
         for delay in delays:
             kernel.schedule(delay, lambda d=delay: fired.append(d))
         kernel.run()
         assert fired == sorted(delays)
-        if backend is Kernel:
-            assert kernel.queue_stats()["migrations"] >= 1
 
     def test_cancel_tombstones_across_structures(self, backend):
-        # cancellations must hold wherever the event currently lives:
-        # active bucket, near-future bucket, or overflow heap
+        # a cancelled event never fires, however far out it was scheduled
         kernel = backend()
         fired = []
-        events = []
-        for delay in (10, 2_000, 50_000, 900_000_000):
-            events.append(
-                kernel.schedule(delay, lambda d=delay: fired.append(d))
-            )
+        events = [
+            kernel.schedule(delay, lambda d=delay: fired.append(d))
+            for delay in (10, 2_000, 50_000, 900_000_000)
+        ]
         for event in events[::2]:
             kernel.cancel(event)
         assert kernel.pending == 2
         kernel.run()
         assert fired == [2_000, 900_000_000]
-
-    def test_compaction_preserves_order_under_cancel_storm(self, backend):
-        kernel = backend()
-        fired = []
-        rng = random.Random(17)
-        events = [
-            kernel.schedule(
-                rng.randrange(1, 5_000_000), lambda i=i: fired.append(i)
-            )
-            for i in range(400)
-        ]
-        keep = []
-        for index, event in enumerate(events):
-            if index % 5 == 0:
-                keep.append((event[EV_SEQ], index))
-            else:
-                kernel.cancel(event)
-        assert kernel.pending == len(keep)
-        kernel.run()
-        assert sorted(fired) == sorted(index for _, index in keep)
 
     def test_until_pushback_resumes_exactly(self, backend):
         kernel = backend()
@@ -156,27 +66,6 @@ class TestQueueEdgeCases:
         assert kernel.run() == 2
         assert fired == [100, 200, 300, 400]
 
-    def test_hook_registered_mid_run_takes_effect(self, backend):
-        # a callback that installs after_event mid-run gets the hook
-        # called for its own dispatch, exactly like the legacy loop
-        kernel = backend()
-        seen = []
-
-        def hook():
-            seen.append(kernel.dispatched)
-
-        def install():
-            kernel.after_event = hook
-
-        kernel.schedule(10, install)
-        kernel.schedule(20, lambda: None)
-        kernel.schedule(30, lambda: kernel.__setattr__("after_event", None))
-        kernel.schedule(40, lambda: None)
-        kernel.run()
-        # hook fires for the installing event (1), the next (2) and the
-        # uninstalling event's dispatch happens before its hook phase (3)
-        assert seen == [1, 2]
-
     def test_dispatched_coherent_inside_hooks(self, backend):
         kernel = backend()
         counts = []
@@ -186,170 +75,3 @@ class TestQueueEdgeCases:
         kernel.run()
         assert counts == [1, 2, 3]
         assert kernel.dispatched == 3
-
-
-class TestRestoreIntoDifferentQueueShape:
-    def _snapshot_events(self, source):
-        """Run half a workload, then capture the survivors' schedule."""
-        fired = []
-        events = []
-        rng = random.Random(99)
-        for index in range(300):
-            delay = rng.randrange(1, 2_000_000)
-            events.append(
-                (delay, source.schedule(delay, lambda i=index: fired.append(i)))
-            )
-        source.run(until_ps=500_000)
-        survivors = [
-            (event[0], event[EV_SEQ])
-            for _, event in events
-            if not event[3] and not event[4]
-        ]
-        return fired, survivors, source.state_dict()
-
-    @pytest.mark.parametrize(
-        "target_factory",
-        [
-            lambda: Kernel(),
-            lambda: Kernel(bucket_shift=2, span=4),
-            lambda: Kernel(bucket_shift=16, span=8),
-            lambda: HeapKernel(),
-        ],
-        ids=["calendar-default", "calendar-tiny", "calendar-wide", "heap"],
-    )
-    def test_pending_events_replay_identically(self, target_factory):
-        # the snapshot protocol never records queue shape, so pending
-        # events must re-materialize into any bucket geometry (or the
-        # heap backend) and replay in the identical order
-        reference = Kernel()
-        reference_fired, survivors, state = self._snapshot_events(reference)
-        reference.run()
-
-        target = target_factory()
-        target.load_state_dict(state)
-        replay = []
-        for time_ps, sequence in survivors:
-            target.restore_event(
-                time_ps, sequence, lambda s=sequence: replay.append(s)
-            )
-        assert target.pending == len(survivors)
-        target.run()
-        # the reference finished dispatching everything after the cut in
-        # (time, sequence) order; the restored queue must do the same
-        assert replay == [s for _, s in sorted(survivors)]
-        assert target.now_ps == reference.now_ps
-        assert target.dispatched == reference.dispatched
-
-
-def _random_soup(kernel, seed, total=4_000):
-    """A seeded storm of schedules/cancels/reschedules, traced."""
-    rng = random.Random(seed)
-    trace = []
-    cancellable = []
-
-    def work(tag):
-        trace.append((kernel.now_ps, tag))
-        action = rng.random()
-        if action < 0.55:
-            delay = rng.choice((0, 7, 512, 1_024, 65_536, 10_000_000))
-            cancellable.append(
-                kernel.schedule(delay, lambda t=len(trace): work(t))
-            )
-        if action < 0.2 and cancellable:
-            kernel.cancel(cancellable.pop(rng.randrange(len(cancellable))))
-
-    for index in range(64):
-        kernel.schedule(rng.randrange(0, 100_000), lambda i=index: work(i))
-    kernel.run(until_ps=50_000_000)
-    return trace
-
-
-@pytest.mark.parametrize("seed", [3, 11, 42])
-def test_backend_differential_event_soup(seed):
-    """Seeded random workloads dispatch identically on both backends."""
-    heap_trace = _random_soup(HeapKernel(), seed)
-    calendar_trace = _random_soup(Kernel(), seed)
-    assert heap_trace == calendar_trace
-    assert len(heap_trace) > 100
-
-
-class TestSystemDifferential:
-    """Whole-flow byte-identity: the tentpole's correctness oracle."""
-
-    def _run(self, backend, traced=True):
-        application, platform, mapping = build_tutwlan_system()
-        tracer = Tracer() if traced else None
-        simulation = SystemSimulation(
-            application, platform, mapping,
-            tracer=tracer, kernel_backend=backend,
-        )
-        result = simulation.run(DURATION_US)
-        return simulation, result
-
-    def test_tutlog_trace_and_snapshot_hashes_match(self):
-        heap_sim, heap_result = self._run("heap")
-        cal_sim, cal_result = self._run("calendar")
-        assert heap_result.writer.render() == cal_result.writer.render()
-        assert render_chrome_trace(heap_sim.tracer) == render_chrome_trace(
-            cal_sim.tracer
-        )
-        assert state_hash(heap_sim.state_dict()) == state_hash(
-            cal_sim.state_dict()
-        )
-        assert heap_result.dispatched_events == cal_result.dispatched_events
-
-    def test_interrupt_on_calendar_resume_on_heap(self, tmp_path):
-        # snapshots are backend-agnostic: interrupt under the calendar
-        # queue, resume under the heap, and the bytes still match the
-        # uninterrupted calendar reference
-        _, reference = self._run("calendar", traced=False)
-        assert reference.dispatched_events > 40
-
-        def checkpointed(simulation, root, interrupt=None):
-            checkpointer = Checkpointer(
-                CheckpointStore(root),
-                EveryEvents(100),
-                tag="x",
-                interrupt_after_events=interrupt,
-            )
-            checkpointer.attach(simulation)
-            try:
-                return simulation.run(DURATION_US)
-            finally:
-                checkpointer.detach()
-
-        application, platform, mapping = build_tutwlan_system()
-        interrupted = SystemSimulation(
-            application, platform, mapping, kernel_backend="calendar"
-        )
-        with pytest.raises(SimulationInterrupted) as excinfo:
-            checkpointed(interrupted, tmp_path / "int", interrupt=40)
-
-        resumed_sim = SystemSimulation(
-            build_tutwlan_system()[0], platform, mapping,
-            kernel_backend="heap",
-        )
-        resume_simulation(resumed_sim, excinfo.value.snapshot)
-        resumed = checkpointed(resumed_sim, tmp_path / "res")
-        assert resumed.writer.render() == reference.writer.render()
-        assert resumed.dispatched_events == reference.dispatched_events
-
-
-@pytest.mark.parametrize("workers", [0, 1, 4])
-def test_exploration_ranking_backend_invariant(workers, monkeypatch):
-    """Rankings must not depend on the kernel backend or worker count.
-
-    The backend reaches exploration workers through the environment
-    (subprocesses inherit ``REPRO_KERNEL_BACKEND``), so this also pins
-    the env-var plumbing end to end.
-    """
-    specs = mapping_sweep_specs(TUTWLAN_BUILDER, duration_us=DURATION_US, limit=3)
-    signatures = {}
-    for backend in ("heap", "calendar"):
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
-        run = run_candidates(specs, workers=workers)
-        signatures[backend] = [
-            (o.spec.digest(), o.result.stable_hash(), o.cost)
-            for o in run.ranking()
-        ]
-    assert signatures["heap"] == signatures["calendar"]

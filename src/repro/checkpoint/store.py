@@ -12,25 +12,24 @@ padded so names sort chronologically) and a prefix of its state hash, so
 re-saving an identical state is a no-op and re-saving a *different* state
 at an already-checkpointed position is caught as replay divergence.
 
-Files are written via a temp file + ``os.replace`` so a crash mid-write
-never leaves a truncated snapshot; readers either see the old complete
-file or the new complete file.  Snapshot payloads use the shared CLI JSON
-envelope (``repro.checkpoint/1``) — ``repro checkpoint inspect`` and any
-external tool can dispatch on the ``schema`` field.
+Files are published with :func:`repro.util.fsio.write_json_atomic` (a
+temp file + ``os.replace``) so a crash mid-write never leaves a truncated
+snapshot; readers either see the old complete file or the new complete
+file.  Snapshot payloads use the shared CLI JSON envelope
+(``repro.checkpoint/1``) — ``repro checkpoint inspect`` and any external
+tool can dispatch on the ``schema`` field.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import CheckpointError
 from repro.checkpoint.state import diff_states, state_hash
-from repro.util.fsio import ensure_parent
+from repro.util.fsio import write_json_atomic
 from repro.util.jsonout import envelope, schema_id
 
 #: Payload kind of snapshot files (full schema id: ``repro.checkpoint/1``).
@@ -111,26 +110,7 @@ class CheckpointStore:
                 "state": snapshot.state,
             },
         )
-        ensure_parent(path)
-        handle = tempfile.NamedTemporaryFile(
-            "w",
-            encoding="utf-8",
-            dir=str(directory),
-            prefix=f".{stem}.",
-            suffix=".tmp",
-            delete=False,
-        )
-        try:
-            with handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(path, payload, indent=2)
         return path
 
     # ------------------------------------------------------------------

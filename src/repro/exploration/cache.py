@@ -8,7 +8,8 @@ where ``digest`` is the SHA-256 of the candidate spec's canonical JSON
 (:meth:`CandidateSpec.digest`).  Each entry stores the spec echo, the
 :class:`EvaluationResult` fields, the result's stable hash and the
 original evaluation wall-time, so warm re-runs can report what they
-skipped.  Entries are written atomically (temp file + ``os.replace``) so
+skipped.  Entries are published with
+:func:`repro.util.fsio.write_json_atomic` (temp file + ``os.replace``) so
 concurrent explorations sharing a cache directory never read torn JSON;
 unreadable or schema-mismatched entries are treated as misses and
 silently re-evaluated.
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.exploration.objectives import EvaluationResult
 from repro.exploration.spec import CandidateSpec
+from repro.util.fsio import write_json_atomic
 
 #: Bump when the entry format changes incompatibly.
 CACHE_SCHEMA = 1
@@ -36,6 +37,7 @@ class ResultCache:
         os.makedirs(directory, exist_ok=True)
 
     def path_for(self, digest: str) -> str:
+        """The entry path of a spec digest (which need not exist yet)."""
         return os.path.join(self.directory, digest[:2], digest + ".json")
 
     def load(self, spec: CandidateSpec) -> Optional[Tuple[EvaluationResult, float]]:
@@ -65,7 +67,6 @@ class ResultCache:
         if digest is None:
             return None
         path = self.path_for(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {
             "schema": CACHE_SCHEMA,
             "digest": digest,
@@ -74,24 +75,7 @@ class ResultCache:
             "result_hash": result.stable_hash(),
             "elapsed_s": elapsed_s,
         }
-        handle = tempfile.NamedTemporaryFile(
-            "w",
-            encoding="utf-8",
-            dir=os.path.dirname(path),
-            prefix=digest[:8] + ".",
-            suffix=".tmp",
-            delete=False,
-        )
-        try:
-            with handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        write_json_atomic(path, entry)
         return path
 
     def __len__(self) -> int:

@@ -44,7 +44,6 @@ from repro.exploration.supervisor import (
     Supervisor,
     SupervisorConfig,
     SupervisorStats,
-    _Task,
 )
 from repro.exploration.workerfaults import WorkerFaultPlan
 
@@ -70,9 +69,11 @@ class CandidateOutcome:
 
     @property
     def cost(self) -> float:
+        """The evaluated result's scalar cost (lower is better)."""
         return self.result.cost()
 
     def to_json_dict(self) -> Dict[str, object]:
+        """Plain-JSON encoding for the campaign's ranking output."""
         return {
             "index": self.index,
             "label": self.spec.label,
@@ -131,6 +132,7 @@ class ExplorationRun:
 
     @property
     def cache_hits(self) -> int:
+        """Candidates served from the result cache."""
         return sum(1 for outcome in self.outcomes if outcome.cached)
 
     def ranking(self) -> List[CandidateOutcome]:
@@ -209,6 +211,7 @@ class ExplorationRun:
         )
 
     def to_json_dict(self, top: Optional[int] = None) -> Dict[str, object]:
+        """Plain-JSON campaign summary; ``top`` caps the ranking shown."""
         ranking = self.ranking()
         shown = ranking if top is None else ranking[:top]
         return {
@@ -357,8 +360,9 @@ def run_candidates(
 
     ``interrupt_after_events`` is the deterministic-interruption hook for
     tests and the CI resume-smoke job: a cumulative event budget across
-    the (serial) campaign; when it runs out the engine takes a final
-    snapshot and raises :class:`~repro.errors.SimulationInterrupted`.
+    the (serial) campaign, kept by the supervisor; when it runs out the
+    running candidate takes a final snapshot and
+    :class:`~repro.errors.SimulationInterrupted` propagates.
 
     On ``KeyboardInterrupt`` (or a SIGTERM the caller translates) the
     engine terminates and joins every live worker before propagating —
@@ -409,6 +413,7 @@ def run_candidates(
     done = 0
 
     def finish(outcome: CandidateOutcome) -> None:
+        """Place ``outcome`` in submission order and report progress."""
         nonlocal done
         outcomes[outcome.index] = outcome
         done += 1
@@ -424,18 +429,16 @@ def run_candidates(
         else:
             pending.append((index, spec))
 
-    def candidate_done(spec: CandidateSpec) -> None:
-        # a cached result supersedes the candidate's snapshots: resuming
-        # serves it from the cache, so the per-tag snapshots are pruned
-        if cache is not None and checkpoint_dir is not None:
-            from repro.checkpoint import CheckpointStore
-
-            CheckpointStore(checkpoint_dir).prune(spec.digest())
-
     def on_success(index, result, elapsed, attempts, failures) -> None:
+        """Cache a freshly evaluated result and record its outcome."""
         if cache is not None:
             cache.store(specs[index], result, elapsed)
-        candidate_done(specs[index])
+            if checkpoint_dir is not None:
+                # a cached result supersedes the candidate's snapshots:
+                # resuming serves it from the cache, so they are pruned
+                from repro.checkpoint import CheckpointStore
+
+                CheckpointStore(checkpoint_dir).prune(specs[index].digest())
         finish(
             CandidateOutcome(
                 index,
@@ -447,76 +450,30 @@ def run_candidates(
             )
         )
 
-    if workers >= 1 and pending:
-        unnamed = [spec for _, spec in pending if spec.digest() is None]
-        if unnamed:
-            raise ExplorationError(
-                "parallel evaluation needs builders importable by name "
-                "('module:callable'); got a local/lambda builder — use "
-                "workers=0 or move the builder to module scope"
-            )
-        boss = Supervisor(
-            context=_pool_context(),
-            workers=min(workers, len(pending)),
-            config=config,
-            worker_faults=worker_faults,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_events=checkpoint_every_events,
+    if workers >= 1 and any(spec.digest() is None for _, spec in pending):
+        raise ExplorationError(
+            "parallel evaluation needs builders importable by name "
+            "('module:callable'); got a local/lambda builder — use "
+            "workers=0 or move the builder to module scope"
         )
-        stats = boss.run(pending, on_success)
-        run_failures, run_quarantined = boss.failures, boss.quarantines
-    else:
-        boss = Supervisor(
-            context=None,
-            workers=0,
-            config=config,
-            worker_faults=worker_faults,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_events=checkpoint_every_events,
-        )
-        budget = interrupt_after_events
-        for index, spec in pending:
-            task = _Task(index=index, spec=spec)
-            while True:
-                wait = task.not_before - time.monotonic()
-                if wait > 0:
-                    time.sleep(wait)
-                seen: List[object] = []
-
-                def factory(spec_, _seen=seen, _budget=lambda: budget):
-                    checkpointer = _make_checkpointer(
-                        spec_,
-                        checkpoint_dir,
-                        checkpoint_every_events,
-                        interrupt_after_events=(
-                            max(1, _budget()) if _budget() is not None else None
-                        ),
-                    )
-                    _seen.append(checkpointer)
-                    return checkpointer
-
-                outcome = boss.attempt_in_process(
-                    task, checkpointer_factory=factory
-                )
-                if outcome == "quarantined":
-                    break
-                if outcome == "retry":
-                    continue
-                result, elapsed = outcome
-                if budget is not None and seen and seen[-1] is not None:
-                    budget -= seen[-1].events_seen
-                on_success(index, result, elapsed, task.attempt, task.failures)
-                break
-        stats = boss.stats
-        run_failures, run_quarantined = boss.failures, boss.quarantines
+    boss = Supervisor(
+        context=_pool_context() if workers >= 1 else None,
+        workers=min(workers, len(pending)),
+        config=config,
+        worker_faults=worker_faults,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every_events=checkpoint_every_events,
+        interrupt_after_events=interrupt_after_events,
+    )
+    stats = boss.run(pending, on_success)
 
     return ExplorationRun(
         outcomes=[outcome for outcome in outcomes if outcome is not None],
         workers=workers,
         wall_s=time.perf_counter() - started,
         cache_dir=cache_dir,
-        failures=run_failures,
-        quarantined=run_quarantined,
+        failures=boss.failures,
+        quarantined=boss.quarantines,
         supervisor_stats=stats,
         pruned=pruned_records,
         prune_margin=prune_config.margin if prune_config is not None else None,

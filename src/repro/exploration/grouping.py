@@ -73,9 +73,11 @@ def communication_minimizing_grouping(
         clusters[name] = [name]
 
     def kind_of(cluster: List[str]) -> str:
+        """The process type shared by a cluster's members."""
         return process_types.get(cluster[0], "general")
 
     def weight(a: str, b: str) -> int:
+        """Signals exchanged, both directions, between two clusters."""
         total = 0
         for pa in clusters[a]:
             for pb in clusters[b]:

@@ -38,6 +38,7 @@ class MappingCandidate:
 
     @property
     def cost(self) -> float:
+        """The evaluated result's scalar cost (lower is better)."""
         return self.result.cost()
 
 
@@ -165,6 +166,7 @@ def improvement_loop(
     builder = _spec_builder(factory)
 
     def run(assignment: Dict[str, str]) -> MappingCandidate:
+        """Evaluate one assignment through the engine (and its cache)."""
         # one candidate per iteration: a pool would only add fork overhead,
         # so the engine is used serially here — the win is the cache
         spec = CandidateSpec.make(builder, assignment, duration_us=duration_us)

@@ -44,6 +44,7 @@ class EvaluationResult:
 
     @property
     def fault_residual(self) -> int:
+        """Detected faults the protocol did not recover."""
         return self.fault_detected - self.fault_recovered
 
     def to_dict(self) -> Dict[str, object]:
@@ -52,6 +53,7 @@ class EvaluationResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "EvaluationResult":
+        """Rebuild a result from :meth:`to_dict` output (unknown keys ignored)."""
         names = {f.name for f in fields(cls)}
         kwargs = {key: value for key, value in data.items() if key in names}
         kwargs["group_cycles"] = dict(kwargs.get("group_cycles") or {})

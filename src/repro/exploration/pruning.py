@@ -66,6 +66,7 @@ class PrunedRecord:
     best_estimate: float
 
     def to_json_dict(self) -> Dict[str, object]:
+        """Plain-JSON encoding for the campaign's pruned ledger."""
         return {
             "index": self.index,
             "label": self.label,

@@ -47,6 +47,7 @@ class FaultSpec:
     protected_signals: Tuple[str, ...] = ()
 
     def build_plan(self):
+        """The live :class:`repro.faults.FaultPlan` these arguments describe."""
         from repro.faults.plan import FaultPlan
 
         return FaultPlan(
@@ -79,6 +80,7 @@ class FaultSpec:
         )
 
     def to_json_dict(self) -> Dict[str, object]:
+        """Plain-JSON encoding; signal sets are sorted lists."""
         return {
             "seed": self.seed,
             "bus_corrupt_rate": self.bus_corrupt_rate,
@@ -183,15 +185,18 @@ class CandidateSpec:
 
     @property
     def mapping_dict(self) -> Dict[str, str]:
+        """The group -> PE assignment as a dict."""
         return dict(self.mapping)
 
     @property
     def grouping_dict(self) -> Optional[Dict[str, str]]:
+        """The process -> group override as a dict (None: model default)."""
         return dict(self.grouping) if self.grouping is not None else None
 
     # -- canonical encoding / hashing ----------------------------------
 
     def to_json_dict(self) -> Dict[str, object]:
+        """Canonical plain-JSON encoding (the input of :meth:`digest`)."""
         ref = builder_ref(self.builder)
         return {
             "schema": SPEC_SCHEMA,

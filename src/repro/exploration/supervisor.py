@@ -262,6 +262,7 @@ class _Task:
     failures: List[FailureRecord] = field(default_factory=list)
 
     def key(self) -> str:
+        """Backoff-jitter key: the spec digest, else the submission index."""
         digest = self.spec.digest()
         return digest if digest is not None else f"index:{self.index}"
 
@@ -320,7 +321,7 @@ def _child_main(send_conn, payload) -> None:
 
 
 class Supervisor:
-    """Drives one campaign's parallel dispatch with fault tolerance.
+    """Drives one campaign's dispatch with fault tolerance.
 
     The engine hands over the uncached ``(index, spec)`` pairs and an
     ``on_success(index, result, elapsed_s, attempts)`` callback; the
@@ -329,6 +330,13 @@ class Supervisor:
     :attr:`stats`.  ``finally``-guarded cleanup terminates every live
     worker on any exit path — a ``KeyboardInterrupt`` mid-campaign leaves
     no orphan processes behind.
+
+    Without a multiprocessing ``context`` (``workers=0``) every candidate
+    runs in-process, through the same retry loop the degraded mode uses.
+    ``interrupt_after_events`` is a cumulative event budget across those
+    in-process evaluations: when it runs out the running candidate takes
+    a final snapshot and :class:`~repro.errors.SimulationInterrupted`
+    propagates.
     """
 
     def __init__(
@@ -339,6 +347,7 @@ class Supervisor:
         worker_faults: Optional[WorkerFaultPlan] = None,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every_events: int = 5_000,
+        interrupt_after_events: Optional[int] = None,
     ) -> None:
         self.context = context
         self.workers = max(1, workers)
@@ -346,6 +355,7 @@ class Supervisor:
         self.worker_faults = worker_faults
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every_events = checkpoint_every_events
+        self.interrupt_budget = interrupt_after_events
         self.failures: List[FailureRecord] = []
         self.quarantines: List[QuarantineRecord] = []
         self.stats = SupervisorStats()
@@ -380,8 +390,8 @@ class Supervisor:
                 # fill free worker slots
                 while ready and len(inflight) < self.workers:
                     task = ready.popleft()
-                    if self.stats.degraded_to_serial:
-                        self._run_in_process(task, on_success, delayed)
+                    if self.context is None or self.stats.degraded_to_serial:
+                        self._run_in_process(task, on_success)
                         continue
                     flight = self._spawn(task)
                     if flight is None:          # spawn failed; task re-queued
@@ -611,13 +621,13 @@ class Supervisor:
     # serial degradation (and the workers=0 path)
     # ------------------------------------------------------------------
 
-    def _run_in_process(self, task: _Task, on_success, delayed) -> None:
-        """Evaluate one candidate in-process (degraded mode, retries kept).
+    def _run_in_process(self, task: _Task, on_success) -> None:
+        """Evaluate one candidate in-process (serial or degraded mode).
 
-        Backoffs are honoured by sleeping; wall-clock timeouts cannot
-        preempt an in-process simulation and are skipped.
+        Retries loop here instead of re-queueing: backoffs are honoured
+        by sleeping; wall-clock timeouts cannot preempt an in-process
+        simulation and are skipped.
         """
-        del delayed  # in-process retries loop here instead of re-queueing
         while True:
             wait = task.not_before - time.monotonic()
             if wait > 0:
@@ -631,18 +641,15 @@ class Supervisor:
             on_success(task.index, result, elapsed, task.attempt, task.failures)
             return
 
-    def attempt_in_process(
-        self, task: _Task, checkpointer_factory: Optional[Callable] = None
-    ):
+    def attempt_in_process(self, task: _Task):
         """One in-process attempt: ``(result, elapsed_s)``, or a disposition.
 
         Returns ``"retry"`` or ``"quarantined"`` when the attempt failed
         (already ledgered; on retry the task's ``not_before`` holds the
         end of its backoff).  ``SimulationInterrupted`` and
         ``KeyboardInterrupt`` always propagate — an interrupt budget or a
-        user interrupt is not a worker fault.  ``checkpointer_factory``
-        overrides the default checkpointer construction (the engine's
-        serial path uses it to thread its interrupt budget through).
+        user interrupt is not a worker fault.  A successful attempt
+        spends its dispatched events from the interrupt budget.
         """
         from repro.exploration.engine import _make_checkpointer, evaluate_spec
 
@@ -655,12 +662,13 @@ class Supervisor:
             )
             if fault_mode is not None:
                 apply_worker_fault(fault_mode, self.worker_faults, in_child=False)
-            if checkpointer_factory is not None:
-                checkpointer = checkpointer_factory(task.spec)
-            else:
-                checkpointer = _make_checkpointer(
-                    task.spec, self.checkpoint_dir, self.checkpoint_every_events
-                )
+            budget = self.interrupt_budget
+            checkpointer = _make_checkpointer(
+                task.spec,
+                self.checkpoint_dir,
+                self.checkpoint_every_events,
+                interrupt_after_events=None if budget is None else max(1, budget),
+            )
             result = evaluate_spec(task.spec, checkpointer=checkpointer)
         except (SimulationInterrupted, KeyboardInterrupt):
             raise
@@ -678,4 +686,6 @@ class Supervisor:
             return self._failed(
                 task, kind, detail, time.perf_counter() - started
             )
+        if budget is not None and checkpointer is not None:
+            self.interrupt_budget = budget - checkpointer.events_seen
         return result, time.perf_counter() - started

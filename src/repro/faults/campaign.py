@@ -42,16 +42,7 @@ def build_campaign_plan(
     drop_rate: Optional[float] = None,
 ) -> FaultPlan:
     """The standard TUTMAC uplink fault plan (corruption + frame loss)."""
-    from repro.cases.tutmac import signals as sig
-
-    return FaultPlan(
-        seed=seed,
-        bus_corrupt_rate=fault_rate,
-        bus_drop_rate=fault_rate / 2 if drop_rate is None else drop_rate,
-        corruptible_signals={sig.PDU_TX},
-        droppable_signals={sig.PDU_TX},
-        protected_signals={sig.PDU_TX},
-    )
+    return campaign_fault_spec(seed, fault_rate, drop_rate).build_plan()
 
 
 def run_fault_campaign(
@@ -87,8 +78,8 @@ def campaign_fault_spec(
     fault_rate: float = 0.05,
     drop_rate: Optional[float] = None,
 ):
-    """The picklable :class:`repro.exploration.FaultSpec` twin of
-    :func:`build_campaign_plan` (same rates, signals and seed)."""
+    """The picklable :class:`repro.exploration.FaultSpec` defining
+    :func:`build_campaign_plan` (rates, signals and seed)."""
     from repro.cases.tutmac import signals as sig
     from repro.exploration.spec import FaultSpec
 

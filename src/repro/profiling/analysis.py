@@ -15,29 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.observability.metrics import LatencyHistogram
 from repro.simulation.logfile import LogFile
 from repro.profiling.groupinfo import ENVIRONMENT_GROUP, ProcessGroupInfo
-
-
-@dataclass
-class LatencyStats:
-    """Delivery-latency statistics of one signal population."""
-
-    count: int = 0
-    total_ps: int = 0
-    max_ps: int = 0
-
-    def observe(self, latency_ps: int) -> None:
-        """Add one delivery-latency sample."""
-        self.count += 1
-        self.total_ps += latency_ps
-        if latency_ps > self.max_ps:
-            self.max_ps = latency_ps
-
-    @property
-    def mean_ps(self) -> float:
-        """Arithmetic mean latency (0.0 on an empty population)."""
-        return self.total_ps / self.count if self.count else 0.0
 
 
 @dataclass
@@ -93,8 +73,8 @@ class ProfilingData:
     process_signals: Dict[Tuple[str, str], int] = field(default_factory=dict)
     group_bytes: Dict[Tuple[str, str], int] = field(default_factory=dict)
     group_steps: Dict[str, int] = field(default_factory=dict)
-    signal_latency: Dict[str, LatencyStats] = field(default_factory=dict)
-    transport_latency: Dict[str, LatencyStats] = field(default_factory=dict)
+    signal_latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
+    transport_latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
     dropped_signals: int = 0
     end_time_ps: int = 0
     fault_stats: Optional[FaultSummary] = None
@@ -169,7 +149,7 @@ class ProfilingData:
 
 
 def analyze(log: LogFile, group_info: ProcessGroupInfo) -> ProfilingData:
-    """Join a parsed log-file with group info (profiling stage 3)."""
+    """Join a simulation log with group info (profiling stage 3)."""
     data = ProfilingData(group_info=group_info, end_time_ps=log.end_time_ps)
     for group in group_info.all_groups():
         data.group_cycles.setdefault(group, 0)
@@ -193,11 +173,11 @@ def analyze(log: LogFile, group_info: ProcessGroupInfo) -> ProfilingData:
         data.group_bytes[group_key] = (
             data.group_bytes.get(group_key, 0) + record.bytes
         )
-        data.signal_latency.setdefault(record.signal, LatencyStats()).observe(
-            record.latency_ps
-        )
+        data.signal_latency.setdefault(
+            record.signal, LatencyHistogram()
+        ).observe(record.latency_ps)
         data.transport_latency.setdefault(
-            record.transport, LatencyStats()
+            record.transport, LatencyHistogram()
         ).observe(record.latency_ps)
     data.dropped_signals = len(log.drop_records)
     data.fault_stats = _fault_summary_from_meta(log.meta)

@@ -19,7 +19,6 @@ from repro.simulation.logfile import (
     ExecRecord,
     FaultRecord,
     LogFile,
-    LogWriter,
     SignalRecord,
     TRANSPORT_BUS,
     TRANSPORT_ENV,
@@ -51,7 +50,6 @@ __all__ = [
     "HibiBus",
     "Kernel",
     "LogFile",
-    "LogWriter",
     "PS_PER_MS",
     "PS_PER_US",
     "ProcessExecutor",

@@ -21,13 +21,18 @@ fields), so it diffs well and any log line can be grepped:
 ``FAULT`` records and the optional ``corrupt`` flag appear only in runs
 with fault injection enabled (see ``docs/fault_injection.md``); fault-free
 logs are byte-identical to the pre-fault format.
+
+One class, :class:`LogFile`, holds a log in memory: the simulator
+appends to it and the profiling tool reads the same object, so a run's
+log is never rendered and parsed back just to be analysed.
+:func:`parse_log`/:func:`read_log` rebuild a :class:`LogFile` from text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from sys import intern as _intern
-from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Union
+from typing import Dict, List, Optional, Union
 
 from repro.errors import SimulationError
 from repro.util.fsio import ensure_parent
@@ -124,13 +129,24 @@ class FaultRecord:
 LogRecord = Union[ExecRecord, SignalRecord, DropRecord, FaultRecord]
 
 
-class LogWriter:
-    """Accumulates records and renders/writes the log file."""
+class LogFile:
+    """A simulation log: META entries, records and the END horizon.
+
+    The simulator appends records to it while it runs
+    (:meth:`exec_step`, :meth:`signal`, :meth:`drop`, :meth:`fault`,
+    :meth:`finish`); the profiling tool reads the same object back
+    through the record views (:attr:`exec_records`, ...).
+    :func:`parse_log` rebuilds one from a rendered tutlog.
+    """
 
     def __init__(self, meta: Optional[Dict[str, str]] = None) -> None:
         self.meta: Dict[str, str] = dict(meta or {})
         self.records: List[LogRecord] = []
         self.end_time_ps = 0
+
+    # ------------------------------------------------------------------
+    # writing
+    # ------------------------------------------------------------------
 
     def exec_step(self, **kwargs) -> None:
         """Record one executed run-to-completion step (EXEC line)."""
@@ -168,75 +184,8 @@ class LogWriter:
             handle.write(self.render())
 
     # ------------------------------------------------------------------
-    # checkpoint/restore protocol
+    # reading
     # ------------------------------------------------------------------
-
-    _RECORD_KINDS = {
-        "EXEC": ExecRecord,
-        "SIG": SignalRecord,
-        "DROP": DropRecord,
-        "FAULT": FaultRecord,
-    }
-
-    def state_dict(self) -> dict:
-        """Meta plus every accumulated record, JSON-safe.
-
-        Restoring this onto a fresh writer makes a resumed run's rendered
-        log byte-identical to an uninterrupted run's.
-        """
-        encoded = []
-        for record in self.records:
-            tag = next(
-                name
-                for name, cls in self._RECORD_KINDS.items()
-                if isinstance(record, cls)
-            )
-            # "record" tags the line type; it cannot collide with the
-            # dataclass fields (FaultRecord already claims "kind")
-            encoded.append({"record": tag, **record.__dict__})
-        return {
-            "meta": dict(self.meta),
-            "records": encoded,
-            "end_time_ps": self.end_time_ps,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot onto this (fresh) writer.
-
-        The restored meta replaces what the constructor seeded — the
-        snapshot's run is the authoritative one being continued.
-        """
-        if self.records:
-            raise SimulationError(
-                "load_state_dict needs a fresh log writer (records already "
-                "accumulated)"
-            )
-        self.meta = dict(state["meta"])
-        for data in state["records"]:
-            fields = {
-                # intern restored names for the same reason parse_log
-                # does: a resumed run re-materializes millions of records
-                # drawn from a tiny name vocabulary
-                key: _intern(value) if isinstance(value, str) else value
-                for key, value in data.items()
-            }
-            cls = self._RECORD_KINDS[fields.pop("record")]
-            self.records.append(cls(**fields))
-        self.end_time_ps = int(state["end_time_ps"])
-
-
-class LogFile:
-    """A parsed simulation log."""
-
-    def __init__(
-        self,
-        meta: Dict[str, str],
-        records: List[LogRecord],
-        end_time_ps: int,
-    ) -> None:
-        self.meta = meta
-        self.records = records
-        self.end_time_ps = end_time_ps
 
     @property
     def exec_records(self) -> List[ExecRecord]:
@@ -280,6 +229,67 @@ class LogFile:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
+    # ------------------------------------------------------------------
+    # checkpoint/restore protocol
+    # ------------------------------------------------------------------
+
+    _RECORD_KINDS = {
+        "EXEC": ExecRecord,
+        "SIG": SignalRecord,
+        "DROP": DropRecord,
+        "FAULT": FaultRecord,
+    }
+
+    def state_dict(self) -> dict:
+        """Meta plus every accumulated record, JSON-safe.
+
+        Restoring this onto a fresh log makes a resumed run's rendered
+        log byte-identical to an uninterrupted run's.
+        """
+        encoded = []
+        for record in self.records:
+            tag = next(
+                name
+                for name, cls in self._RECORD_KINDS.items()
+                if isinstance(record, cls)
+            )
+            # "record" tags the line type; it cannot collide with the
+            # dataclass fields (FaultRecord already claims "kind")
+            encoded.append({"record": tag, **record.__dict__})
+        return {
+            "meta": dict(self.meta),
+            "records": encoded,
+            "end_time_ps": self.end_time_ps,
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot onto this (fresh) log.
+
+        The restored meta replaces what the constructor seeded — the
+        snapshot's run is the authoritative one being continued.
+        """
+        if self.records:
+            raise SimulationError(
+                "load_state_dict needs a fresh log (records already "
+                "accumulated)"
+            )
+        self.meta = dict(state["meta"])
+        for data in state["records"]:
+            fields = {
+                # intern restored names for the same reason parse_log
+                # does: a resumed run re-materializes millions of records
+                # drawn from a tiny name vocabulary
+                key: _intern(value) if isinstance(value, str) else value
+                for key, value in data.items()
+            }
+            cls = self._RECORD_KINDS[fields.pop("record")]
+            self.records.append(cls(**fields))
+        self.end_time_ps = int(state["end_time_ps"])
+
+
+# kept for the benchmark harness, which patches logfile.LogWriter by name
+LogWriter = LogFile
+
 
 def _parse_fields(line: str, start: int) -> Dict[str, str]:
     # intern both keys and values: a log holds a handful of distinct
@@ -296,13 +306,17 @@ def _parse_fields(line: str, start: int) -> Dict[str, str]:
 
 
 def parse_log(text: str) -> LogFile:
-    """Parse a log file's text; raises :class:`SimulationError` on bad input."""
+    """Parse a log file's text; raises :class:`SimulationError` on bad input.
+
+    The inverse of :meth:`LogFile.render`: reads tutlogs from disk (the
+    generated C runtime writes the same format) and serves as the test
+    oracle for the in-memory log a simulation returns.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != MAGIC:
         raise SimulationError(f"not a simulation log (expected {MAGIC!r} header)")
-    meta: Dict[str, str] = {}
-    records: List[LogRecord] = []
-    end_time_ps = 0
+    log = LogFile()
+    meta, records = log.meta, log.records
     saw_end = False
     for number, line in enumerate(lines[1:], start=2):
         line = line.strip()
@@ -364,7 +378,7 @@ def parse_log(text: str) -> LogFile:
                 )
             elif kind == "END":
                 f = _parse_fields(line, 1)
-                end_time_ps = int(f["time"])
+                log.finish(int(f["time"]))
                 saw_end = True
             else:
                 raise SimulationError(f"unknown record kind {kind!r}")
@@ -374,7 +388,7 @@ def parse_log(text: str) -> LogFile:
             ) from exc
     if not saw_end:
         raise SimulationError("log file is truncated (no END record)")
-    return LogFile(meta, records, end_time_ps)
+    return log
 
 
 def read_log(path) -> LogFile:

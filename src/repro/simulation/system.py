@@ -13,7 +13,7 @@ cycle cost — the paper's Table 4 reports the Environment row at 0 cycles.
 from __future__ import annotations
 
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -34,11 +34,9 @@ from repro.simulation.kernel import (
 )
 from repro.simulation.logfile import (
     LogFile,
-    LogWriter,
     TRANSPORT_BUS,
     TRANSPORT_ENV,
     TRANSPORT_LOCAL,
-    parse_log,
 )
 from repro.simulation.timing import CostModel, timer_duration_ps
 
@@ -176,7 +174,7 @@ class _PERuntime:
 class SimulationResult:
     """Everything a simulation run produced."""
 
-    writer: LogWriter
+    writer: LogFile
     end_time_ps: int
     dispatched_events: int
     pe_busy_ps: Dict[str, int]
@@ -184,14 +182,11 @@ class SimulationResult:
     dropped_signals: int
     fault_stats: Optional[object] = None  # repro.faults.FaultStats when injecting
     trace: Optional[Tracer] = None        # the run's tracer when tracing was on
-    _parsed: Optional[LogFile] = field(default=None, repr=False)
 
     @property
     def log(self) -> LogFile:
-        """The run's log, parsed lazily from the writer's rendering."""
-        if self._parsed is None:
-            self._parsed = parse_log(self.writer.render())
-        return self._parsed
+        """The run's log: the records the simulator wrote, read in place."""
+        return self.writer
 
     def pe_utilization(self) -> Dict[str, float]:
         """Busy fraction of the simulated interval, per processing element."""
@@ -237,7 +232,7 @@ class SystemSimulation:
         self.bus = HibiBus(
             platform, self.kernel, faults=self.faults, tracer=tracer
         )
-        self.writer = LogWriter(
+        self.writer = LogFile(
             meta={
                 "application": application.top.name,
                 "platform": platform.top.name,

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.diagrams import timeline_text, utilization_summary
-from repro.simulation import LogWriter, parse_log
+from repro.simulation import LogFile, parse_log
 
 
 def make_log():
-    writer = LogWriter()
+    writer = LogFile()
     spans = [
         ("cpu1", "alpha", 0, 1000),
         ("cpu1", "beta", 1000, 1000),

@@ -10,7 +10,7 @@ from repro.exploration import (
     single_group_grouping,
 )
 from repro.profiling import ProcessGroupInfo, analyze
-from repro.simulation import LogWriter, parse_log
+from repro.simulation import LogFile, parse_log
 
 
 def synthetic_profiling():
@@ -18,7 +18,7 @@ def synthetic_profiling():
     info = ProcessGroupInfo()
     info.process_to_group = {f"p{i}": f"g_p{i}" for i in range(1, 6)}
     info.group_names = sorted(set(info.process_to_group.values()))
-    writer = LogWriter()
+    writer = LogFile()
     flows = [
         ("p1", "p2", 100),
         ("p2", "p1", 80),

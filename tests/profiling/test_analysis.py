@@ -3,7 +3,7 @@
 import pytest
 
 from repro.profiling import ProcessGroupInfo, analyze
-from repro.simulation import LogWriter, parse_log
+from repro.simulation import LogFile, parse_log
 
 
 def make_info():
@@ -14,7 +14,7 @@ def make_info():
 
 
 def make_log():
-    writer = LogWriter()
+    writer = LogFile()
     for process, cycles in (("p1", 100), ("p2", 50), ("p3", 25), ("env1", 0)):
         writer.exec_step(
             time_ps=0, process=process, pe="cpu", cycles=cycles, duration_ps=0,
@@ -95,7 +95,7 @@ class TestSignalAggregation:
 
 class TestEmptyLog:
     def test_zero_total_handled(self):
-        writer = LogWriter()
+        writer = LogFile()
         writer.finish(0)
         data = analyze(parse_log(writer.render()), make_info())
         assert data.total_cycles() == 0

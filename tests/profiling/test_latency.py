@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.profiling import LatencyStats, analyze, render_latency_detail
+from repro.observability.metrics import LatencyHistogram
+from repro.profiling import analyze, render_latency_detail
 from repro.profiling.groupinfo import ProcessGroupInfo
-from repro.simulation import LogWriter, parse_log
+from repro.simulation import LogFile
 
 
 class TestLatencyStats:
     def test_observe_accumulates(self):
-        stats = LatencyStats()
+        stats = LatencyHistogram()
         for value in (10, 20, 60):
             stats.observe(value)
         assert stats.count == 3
@@ -17,14 +18,14 @@ class TestLatencyStats:
         assert stats.max_ps == 60
 
     def test_empty_mean_is_zero(self):
-        assert LatencyStats().mean_ps == 0.0
+        assert LatencyHistogram().mean_ps == 0.0
 
 
 def build_data():
     info = ProcessGroupInfo()
     info.process_to_group = {"a": "g", "b": "g"}
     info.group_names = ["g"]
-    writer = LogWriter()
+    log = LogFile()
     samples = [
         ("ping", "local", 100),
         ("ping", "local", 300),
@@ -32,12 +33,12 @@ def build_data():
         ("pong", "bus", 500),
     ]
     for signal, transport, latency in samples:
-        writer.signal(
+        log.signal(
             time_ps=0, signal=signal, sender="a", receiver="b",
             bytes=4, latency_ps=latency, transport=transport,
         )
-    writer.finish(1)
-    return analyze(parse_log(writer.render()), info)
+    log.finish(1)
+    return analyze(log, info)
 
 
 class TestAggregation:

@@ -7,7 +7,7 @@ from repro.errors import SimulationError
 from repro.simulation import (
     DropRecord,
     ExecRecord,
-    LogWriter,
+    LogFile,
     SignalRecord,
     parse_log,
 )
@@ -16,7 +16,7 @@ NAMES = st.sampled_from(["rca", "mng", "frag", "crc", "user", "phy"])
 
 
 def sample_writer():
-    writer = LogWriter(meta={"application": "Demo"})
+    writer = LogFile(meta={"application": "Demo"})
     writer.exec_step(
         time_ps=0, process="a", pe="cpu1", cycles=100, duration_ps=2000,
         from_state="idle", to_state="run", trigger="start",
@@ -88,7 +88,7 @@ class TestErrors:
 
 class TestAggregation:
     def test_cycles_by_process(self):
-        writer = LogWriter()
+        writer = LogFile()
         for cycles in (10, 20, 30):
             writer.exec_step(
                 time_ps=0, process="p", pe="cpu", cycles=cycles, duration_ps=0,
@@ -103,7 +103,7 @@ class TestAggregation:
         assert log.cycles_by_process() == {"p": 60, "q": 5}
 
     def test_signal_counts(self):
-        writer = LogWriter()
+        writer = LogFile()
         for _ in range(3):
             writer.signal(
                 time_ps=0, signal="x", sender="a", receiver="b", bytes=1,
@@ -132,7 +132,7 @@ class TestAggregation:
 @settings(max_examples=50, deadline=None)
 def test_property_roundtrip(records):
     """Any batch of records survives render → parse exactly."""
-    writer = LogWriter()
+    writer = LogFile()
     for sender, receiver, time_ps, size in records:
         writer.signal(
             time_ps=time_ps, signal="sig", sender=sender, receiver=receiver,

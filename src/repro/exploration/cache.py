@@ -8,11 +8,14 @@ where ``digest`` is the SHA-256 of the candidate spec's canonical JSON
 (:meth:`CandidateSpec.digest`).  Each entry stores the spec echo, the
 :class:`EvaluationResult` fields, the result's stable hash and the
 original evaluation wall-time, so warm re-runs can report what they
-skipped.  Entries are published with
+skipped, and the action-language semantics version
+(:data:`repro.uml.semantics.SEMANTICS_VERSION`) the result was computed
+under.  Entries are published with
 :func:`repro.util.fsio.write_json_atomic` (temp file + ``os.replace``) so
 concurrent explorations sharing a cache directory never read torn JSON;
-unreadable or schema-mismatched entries are treated as misses and
-silently re-evaluated.
+unreadable or schema-mismatched entries, and entries of another semantics
+version, are treated as misses: the candidate is re-evaluated and its
+entry overwritten.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Optional, Tuple
 
 from repro.exploration.objectives import EvaluationResult
 from repro.exploration.spec import CandidateSpec
+from repro.uml.semantics import SEMANTICS_VERSION
 from repro.util.fsio import write_json_atomic
 
 #: Bump when the entry format changes incompatibly.
@@ -51,7 +55,11 @@ class ResultCache:
                 entry = json.load(handle)
         except (OSError, ValueError):
             return None
-        if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA:
+        if (
+            not isinstance(entry, dict)
+            or entry.get("schema") != CACHE_SCHEMA
+            or entry.get("semantics") != SEMANTICS_VERSION
+        ):
             return None
         try:
             result = EvaluationResult.from_dict(entry["result"])
@@ -69,6 +77,7 @@ class ResultCache:
         path = self.path_for(digest)
         entry = {
             "schema": CACHE_SCHEMA,
+            "semantics": SEMANTICS_VERSION,
             "digest": digest,
             "spec": spec.to_json_dict(),
             "result": result.to_dict(),

@@ -3,16 +3,20 @@
 The paper's Figure 2 loop — simulate, profile, regroup, remap — needs
 *many* simulations, and the discrete-event simulator is pure-Python CPU
 work, so candidates fan out over ``multiprocessing`` **worker processes**
-(threads would serialise on the GIL).  Each worker rebuilds its system
-from a picklable :class:`CandidateSpec`; live UML objects never cross the
-process boundary.
+(threads would serialise on the GIL).  Each worker is forked once per
+campaign and evaluates one candidate after another, rebuilding each
+system from a picklable :class:`CandidateSpec` sent over its task pipe;
+live UML objects never cross the process boundary.  The compiled action
+code of a model stays in the worker (see :mod:`repro.uml.compile`), so
+its later candidates do not compile it again.
 
 Dispatch is fault-tolerant: the campaign supervisor
 (:mod:`repro.exploration.supervisor`) owns the worker processes, so a
 hung worker is killed at its wall-clock timeout, a crashed worker
-(SIGKILL, OOM) is detected through its closed pipe, failed candidates are
-retried with seeded exponential backoff and a poison candidate is
-quarantined after a bounded failure budget instead of aborting the sweep.
+(SIGKILL, OOM) is detected through its closed pipe, either is replaced at
+the next dispatch, failed candidates are retried with seeded exponential
+backoff and a poison candidate is quarantined after a bounded failure
+budget instead of aborting the sweep.
 
 Determinism contract: the simulator is seeded and bit-reproducible, every
 candidate is evaluated independently, and :meth:`ExplorationRun.ranking`

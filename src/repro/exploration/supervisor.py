@@ -1,15 +1,17 @@
-"""Campaign supervisor: fault-tolerant dispatch of exploration workers.
+"""Campaign supervisor: fault-tolerant dispatch to long-lived worker processes.
 
 ``Pool.imap_unordered`` has no answer to an OOM-killed or wedged child —
 one dead worker stalls the whole campaign.  The supervisor replaces the
-pool with directly managed worker processes, one per in-flight
-candidate, each reporting over its own pipe, so the parent can
+pool with directly managed worker processes: up to ``workers`` of them,
+each forked once and then fed one candidate after another over its own
+task pipe, answering over its own result pipe.  A worker that evaluates
+many candidates compiles each action block once (see
+:mod:`repro.uml.compile`) instead of once per candidate.  The parent can
 
 * enforce a **per-candidate wall-clock timeout** (kill the worker,
-  reclaim the slot, retry the candidate),
+  retry the candidate; the slot gets a fresh worker at its next dispatch),
 * detect **crashed workers** (SIGKILL/exit-code death shows up as a
-  closed pipe; the slot is simply refilled — "pool repair" is free when
-  every candidate gets a fresh process),
+  closed result pipe; the worker is replaced at the next dispatch),
 * **retry with exponential backoff** and deterministic, seeded jitter
   (reproducible campaign behaviour; the *results* are worker-count
   invariant regardless, because candidates are evaluated independently
@@ -21,6 +23,8 @@ candidate, each reporting over its own pipe, so the parent can
   no longer be spawned at all (fork/spawn failure — the pool is
   irreparable, but the campaign still finishes).
 
+Workers live for one campaign.  An idle worker exits when its task pipe
+closes: when the campaign ends, or when the parent dies, however it dies.
 A retried candidate launched with ``checkpoint_dir`` resumes from its
 latest snapshot (see :mod:`repro.checkpoint`), so a timeout kill does not
 forfeit completed simulation work.  Failure semantics are documented in
@@ -30,12 +34,13 @@ forfeit completed simulation work.  Failure semantics are documented in
 from __future__ import annotations
 
 import gc
-import os
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as _connection_wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExplorationError, SimulationInterrupted, WorkerFaultError
 from repro.exploration.spec import CandidateSpec
@@ -267,57 +272,84 @@ class _Task:
         return digest if digest is not None else f"index:{self.index}"
 
 
-class _InFlight:
-    """One live worker process and its reporting pipe."""
+#: every pipe end this process holds for its campaign workers, across all
+#: supervisors; a newly forked worker closes all of them but its own two
+_OPEN_ENDS: Set[Connection] = set()
 
-    def __init__(self, task, process, conn, deadline) -> None:
-        self.task = task
+
+def _close(*conns: Connection) -> None:
+    """Close pipe ends and stop tracking them."""
+    for conn in conns:
+        _OPEN_ENDS.discard(conn)
+        conn.close()
+
+
+def _join(process) -> None:
+    """Join a stopping worker; kill it if it does not stop within a second."""
+    process.join(timeout=1.0)
+    if process.is_alive():
+        process.kill()
+        process.join()
+
+
+class _Worker:
+    """One long-lived worker process, its two pipes and its current task."""
+
+    def __init__(self, process, tasks: Connection, results: Connection) -> None:
         self.process = process
-        self.conn = conn
-        self.deadline = deadline  # monotonic instant, or None
-        self.started = time.monotonic()
+        self.tasks = tasks            # the parent's write end of the task pipe
+        self.results = results        # the parent's read end of the result pipe
+        self.task: Optional[_Task] = None   # the candidate being evaluated
+        self.started = 0.0            # monotonic instant the task was sent
+        self.deadline: Optional[float] = None
 
 
-def _child_main(send_conn, payload) -> None:
-    """Worker-process entry point: evaluate one candidate, report by pipe.
+def _worker_main(tasks: Connection, results: Connection) -> None:
+    """Worker-process entry point: evaluate candidates until the task pipe closes.
 
-    Reports ``("ok", result_dict, elapsed_s)`` or ``("error", detail,
-    elapsed_s)``; a worker that dies without reporting (injected crash,
-    real SIGKILL) is detected by the parent through the closed pipe.
+    Each task is a ``(spec, checkpoint_dir, every_events, fault_plan,
+    fault_mode)`` tuple, answered by ``("ok", result_dict,
+    elapsed_s)`` or ``("error", detail, elapsed_s)``.  A worker that dies
+    without answering (injected crash, real SIGKILL) is detected by the
+    parent through its closed result pipe.  The task pipe reads as EOF once
+    the parent closes it or dies, and the worker then exits.
     """
+    # SIGTERM and SIGINT end a worker at once and silently, whatever the
+    # parent made of them (the CLI turns SIGTERM into KeyboardInterrupt)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    # a task pipe's write end left open in any worker, this one included,
+    # would keep that pipe from reading as EOF when the parent dies
+    for conn in _OPEN_ENDS:
+        if conn is not tasks and conn is not results:
+            conn.close()
     # the objects inherited from the parent stay out of this worker's
     # collections: a full collection would walk them all, touching (and
     # so copying) every page the fork shares with the parent
     gc.freeze()
-    index, spec, checkpoint_dir, every_events, fault_plan, fault_mode = payload
-    started = time.perf_counter()
-    try:
-        if fault_mode is not None:
-            apply_worker_fault(fault_mode, fault_plan, in_child=True)
-        # deferred import: keeps supervisor importable without the engine
-        # (the engine imports this module at load time)
-        from repro.exploration.engine import _make_checkpointer, evaluate_spec
+    # deferred import: the engine imports this module at load time
+    from repro.exploration import engine
 
-        checkpointer = _make_checkpointer(spec, checkpoint_dir, every_events)
-        result = evaluate_spec(spec, checkpointer=checkpointer)
-        send_conn.send(
-            ("ok", result.to_dict(), time.perf_counter() - started)
-        )
-    except BaseException as exc:  # noqa: BLE001 — anything must be reported
+    while True:
         try:
-            send_conn.send(
-                (
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    time.perf_counter() - started,
-                )
-            )
-        except (OSError, ValueError):
-            pass
-        finally:
-            send_conn.close()
-            os._exit(1)
-    send_conn.close()
+            payload = tasks.recv()
+        except EOFError:
+            return
+        spec, checkpoint_dir, every_events, fault_plan, fault_mode = payload
+        started = time.perf_counter()
+        try:
+            if fault_mode is not None:
+                apply_worker_fault(fault_mode, fault_plan, in_child=True)
+            checkpointer = engine._make_checkpointer(spec, checkpoint_dir, every_events)
+            result = engine.evaluate_spec(spec, checkpointer=checkpointer)
+            reply = ("ok", result.to_dict())
+        except Exception as exc:  # noqa: BLE001 — a failed candidate is reported
+            # (an exit request ends the worker instead: the parent sees a crash)
+            reply = ("error", f"{type(exc).__name__}: {exc}")
+        try:
+            results.send(reply + (time.perf_counter() - started,))
+        except OSError:
+            return                      # the parent is gone
 
 
 class Supervisor:
@@ -327,9 +359,11 @@ class Supervisor:
     ``on_success(index, result, elapsed_s, attempts)`` callback; the
     supervisor owns worker lifecycle, deadlines, retries and quarantine,
     and leaves its ledger in :attr:`failures`, :attr:`quarantines` and
-    :attr:`stats`.  ``finally``-guarded cleanup terminates every live
-    worker on any exit path — a ``KeyboardInterrupt`` mid-campaign leaves
-    no orphan processes behind.
+    :attr:`stats`.  It keeps up to ``workers`` long-lived worker processes,
+    started as candidates need them; a worker that crashed or was killed at
+    its deadline is replaced at the next dispatch.  ``finally``-guarded
+    cleanup stops every worker on any exit path — a ``KeyboardInterrupt``
+    mid-campaign leaves no orphan processes behind.
 
     Without a multiprocessing ``context`` (``workers=0``) every candidate
     runs in-process, through the same retry loop the degraded mode uses.
@@ -359,6 +393,7 @@ class Supervisor:
         self.failures: List[FailureRecord] = []
         self.quarantines: List[QuarantineRecord] = []
         self.stats = SupervisorStats()
+        self.pool: List[_Worker] = []
 
     # ------------------------------------------------------------------
     # dispatch loop
@@ -374,9 +409,8 @@ class Supervisor:
             _Task(index=index, spec=spec) for index, spec in pending
         )
         delayed: List[_Task] = []       # tasks waiting out a backoff
-        inflight: List[_InFlight] = []
         try:
-            while ready or delayed or inflight:
+            while ready or delayed or self._busy():
                 now = time.monotonic()
                 # promote tasks whose backoff has elapsed
                 still_delayed = []
@@ -388,55 +422,57 @@ class Supervisor:
                 delayed = still_delayed
 
                 # fill free worker slots
-                while ready and len(inflight) < self.workers:
+                while ready and len(self._busy()) < self.workers:
                     task = ready.popleft()
                     if self.context is None or self.stats.degraded_to_serial:
                         self._run_in_process(task, on_success)
                         continue
-                    flight = self._spawn(task)
-                    if flight is None:          # spawn failed; task re-queued
+                    if not self._dispatch(task):  # no worker; task re-queued
                         ready.appendleft(task)
                         if self.stats.degraded_to_serial:
                             continue
                         break
-                    inflight.append(flight)
 
-                if not inflight:
+                busy = self._busy()
+                if not busy:
                     if delayed:
                         next_due = min(t.not_before for t in delayed)
                         time.sleep(max(0.0, next_due - time.monotonic()))
                     continue
 
                 # wait for a result, a death, a deadline or a backoff expiry
-                timeout = self._wait_timeout(inflight, delayed)
                 readable = _connection_wait(
-                    [flight.conn for flight in inflight], timeout=timeout
+                    [worker.results for worker in busy],
+                    timeout=self._wait_timeout(busy, delayed),
                 )
-                for conn in readable:
-                    flight = next(f for f in inflight if f.conn is conn)
-                    inflight.remove(flight)
-                    self._collect(flight, on_success, delayed)
+                for worker in busy:
+                    if worker.results in readable:
+                        self._collect(worker, on_success, delayed)
 
                 # enforce wall-clock deadlines on whatever is still running
                 now = time.monotonic()
-                for flight in [
-                    f
-                    for f in inflight
-                    if f.deadline is not None and f.deadline <= now
-                ]:
-                    inflight.remove(flight)
-                    self._timeout(flight, on_success, delayed)
+                for worker in busy:
+                    if (
+                        worker.task is not None
+                        and worker.deadline is not None
+                        and worker.deadline <= now
+                    ):
+                        self._timeout(worker, on_success, delayed)
         finally:
-            self._reap(inflight)
+            self._reap()
         return self.stats
 
+    def _busy(self) -> List[_Worker]:
+        """The workers evaluating a candidate now."""
+        return [worker for worker in self.pool if worker.task is not None]
+
     def _wait_timeout(
-        self, inflight: List[_InFlight], delayed: List[_Task]
+        self, busy: List[_Worker], delayed: List[_Task]
     ) -> Optional[float]:
         """Sleep only until the next deadline or backoff expiry."""
         now = time.monotonic()
         horizons = [
-            flight.deadline for flight in inflight if flight.deadline is not None
+            worker.deadline for worker in busy if worker.deadline is not None
         ]
         horizons += [task.not_before for task in delayed]
         if not horizons:
@@ -447,67 +483,89 @@ class Supervisor:
     # worker lifecycle
     # ------------------------------------------------------------------
 
-    def _spawn(self, task: _Task) -> Optional[_InFlight]:
-        """Start one worker; on repeated spawn failure degrade to serial."""
+    def _dispatch(self, task: _Task) -> bool:
+        """Send ``task`` to an idle worker, starting one if none is idle.
+
+        An idle worker that died since its last task is retired on the way.
+        Returns False when no worker could take the task.
+        """
+        for worker in [w for w in self.pool if w.task is None]:
+            if self._send(worker, task):
+                return True
+        worker = self._spawn()
+        return worker is not None and self._send(worker, task)
+
+    def _send(self, worker: _Worker, task: _Task) -> bool:
+        """Hand ``task`` to ``worker``; False (worker retired) if it is dead."""
         fault_mode = (
             self.worker_faults.mode_for(task.index, task.attempt)
             if self.worker_faults is not None
             else None
         )
-        payload = (
-            task.index,
-            task.spec,
-            self.checkpoint_dir,
-            self.checkpoint_every_events,
-            self.worker_faults,
-            fault_mode,
+        try:
+            worker.tasks.send(
+                (
+                    task.spec,
+                    self.checkpoint_dir,
+                    self.checkpoint_every_events,
+                    self.worker_faults,
+                    fault_mode,
+                )
+            )
+        except OSError:
+            self._retire(worker)
+            return False
+        worker.task = task
+        worker.started = time.monotonic()
+        worker.deadline = (
+            worker.started + self.config.timeout_s
+            if self.config.timeout_s is not None
+            else None
         )
-        recv_conn, send_conn = self.context.Pipe(duplex=False)
+        return True
+
+    def _spawn(self) -> Optional[_Worker]:
+        """Start one idle worker; on repeated spawn failure degrade to serial."""
+        task_reader, task_writer = self.context.Pipe(duplex=False)
+        result_reader, result_writer = self.context.Pipe(duplex=False)
+        _OPEN_ENDS.update((task_reader, task_writer, result_reader, result_writer))
         process = self.context.Process(
-            target=_child_main, args=(send_conn, payload), daemon=True
+            target=_worker_main, args=(task_reader, result_writer), daemon=True
         )
         try:
             process.start()
         except OSError:
-            recv_conn.close()
-            send_conn.close()
+            _close(task_reader, task_writer, result_reader, result_writer)
             self.stats.spawn_failures += 1
             if self.stats.spawn_failures >= 2:
                 # the pool is irreparable: finish the campaign in-process
                 self.stats.degraded_to_serial = True
             return None
-        # close the parent's copy of the write end *immediately*: workers
-        # forked later must not inherit it, or a crashed sibling's pipe
-        # would never read as EOF
-        send_conn.close()
+        # the worker's own ends live in the worker only: the parent holding
+        # one would keep the worker's death from reading as EOF
+        _close(task_reader, result_writer)
         self.stats.spawned_pids.append(process.pid)
-        deadline = (
-            time.monotonic() + self.config.timeout_s
-            if self.config.timeout_s is not None
-            else None
-        )
-        return _InFlight(task, process, recv_conn, deadline)
+        worker = _Worker(process, task_writer, result_reader)
+        self.pool.append(worker)
+        return worker
 
-    def _collect(self, flight: _InFlight, on_success, delayed) -> None:
-        """Handle a readable pipe: a result, an error report, or a death."""
-        task = flight.task
+    def _collect(self, worker: _Worker, on_success, delayed) -> None:
+        """Handle a readable result pipe: a result, an error report, or a death."""
+        task, worker.task = worker.task, None
         try:
-            kind, payload, elapsed = flight.conn.recv()
+            kind, payload, elapsed = worker.results.recv()
         except (EOFError, OSError):
-            flight.process.join()
-            flight.conn.close()
-            exitcode = flight.process.exitcode
+            self._retire(worker)
+            exitcode = worker.process.exitcode
             self._failed(
                 task,
                 FAILURE_CRASH,
                 f"worker died without reporting (exit code {exitcode})",
-                time.monotonic() - flight.started,
+                time.monotonic() - worker.started,
                 delayed,
                 exitcode=exitcode,
             )
             return
-        flight.process.join()
-        flight.conn.close()
         if kind == "ok":
             from repro.exploration.objectives import EvaluationResult
 
@@ -521,43 +579,42 @@ class Supervisor:
         else:
             self._failed(task, FAILURE_ERROR, str(payload), elapsed, delayed)
 
-    def _timeout(self, flight: _InFlight, on_success, delayed) -> None:
+    def _timeout(self, worker: _Worker, on_success, delayed) -> None:
         """Kill a worker that blew its deadline — unless it just finished."""
-        if flight.conn.poll():
+        if worker.results.poll():
             # the result arrived between the wait and the deadline check
-            self._collect(flight, on_success, delayed)
+            self._collect(worker, on_success, delayed)
             return
-        process = flight.process
-        process.terminate()
-        process.join(timeout=1.0)
-        if process.is_alive():
-            process.kill()
-            process.join()
-        flight.conn.close()
+        task, worker.task = worker.task, None
+        worker.process.terminate()
+        self._retire(worker)
         self._failed(
-            flight.task,
+            task,
             FAILURE_TIMEOUT,
             f"exceeded {self.config.timeout_s}s wall-clock timeout",
-            time.monotonic() - flight.started,
+            time.monotonic() - worker.started,
             delayed,
-            exitcode=process.exitcode,
+            exitcode=worker.process.exitcode,
         )
 
-    def _reap(self, inflight: List[_InFlight]) -> None:
-        """Terminate and join every live worker (no orphans on any exit)."""
-        for flight in inflight:
-            if flight.process.is_alive():
-                flight.process.terminate()
-        for flight in inflight:
-            flight.process.join(timeout=1.0)
-            if flight.process.is_alive():
-                flight.process.kill()
-                flight.process.join()
-            try:
-                flight.conn.close()
-            except OSError:
-                pass
-        inflight.clear()
+    def _retire(self, worker: _Worker) -> None:
+        """Drop a dead or dying worker: close its pipes and join it."""
+        self.pool.remove(worker)
+        _close(worker.tasks, worker.results)
+        _join(worker.process)
+
+    def _reap(self) -> None:
+        """Stop and join every worker (no orphans on any exit path).
+
+        Closing its task pipe ends an idle worker; a busy one is terminated.
+        """
+        workers, self.pool = self.pool, []
+        for worker in workers:
+            _close(worker.tasks, worker.results)
+            if worker.task is not None:
+                worker.process.terminate()
+        for worker in workers:
+            _join(worker.process)
 
     # ------------------------------------------------------------------
     # failure bookkeeping

@@ -17,17 +17,26 @@ computed), division by zero, an unknown builtin, a negative timer duration
 and the ``while`` bound all raise :class:`~repro.errors.ActionRuntimeError`,
 and the writes made before the error stay in ``V``.
 
-Compilation is lazy, one ``compile()`` call per block on its first run, and
-cached on the model object that owns the code: a
+Compilation is lazy: a block is compiled on its first run, and its function
+is cached on the model object that owns the code: a
 :class:`~repro.uml.statemachine.Transition` for its guard and effect, a
 :class:`~repro.uml.statemachine.State` for its entry and exit actions.
 Blocks that never run are never compiled.  Cache entries are keyed on the
 block object's identity, so assigning a new block to ``transition.effect``
 compiles the new one on its next run.
+
+Beneath the owner caches, one process-wide table maps lowered source text
+to its function, so textually identical blocks share one ``compile()``
+call: a process that builds the same model many times, such as a campaign
+worker evaluating one candidate after another, compiles each distinct block
+once.  A function depends only on its source and the constant namespace of
+compiled code, so sharing it cannot change behaviour.  The table keeps at
+most :data:`CODE_TABLE_BOUND` functions and drops the oldest first.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Dict, List, Sequence
 
 from repro.errors import ActionRuntimeError
@@ -62,6 +71,12 @@ CACHE_ATTRIBUTE = "_compiled_actions"
 _CODE_ATTRIBUTES = ("guard", "effect", "entry", "exit")
 
 _NO_CACHE: Dict[int, tuple] = {}
+
+#: most functions the process-wide code table keeps
+CODE_TABLE_BOUND = 1024
+
+#: compiled functions by lowered source text, oldest first
+_CODE_TABLE: "OrderedDict[str, Compiled]" = OrderedDict()
 
 
 def execute(stmts: Sequence[Stmt], env: ActionEnvironment, owner=None) -> int:
@@ -382,9 +397,21 @@ def _lower(name: str, code) -> str:
 
 
 def _build(code) -> Compiled:
-    """Compile one block or guard with one ``compile()`` call."""
+    """The function of one block or guard: from the code table, else compiled."""
     if not isinstance(code, Expr) and not code:
         return _empty
-    namespace = dict(_NAMESPACE)
-    exec(compile(_lower("_compiled", code), "<action language>", "exec"), namespace)
-    return namespace["_compiled"]
+    source = _lower("_compiled", code)
+    function = _CODE_TABLE.get(source)
+    if function is None:
+        namespace = dict(_NAMESPACE)
+        exec(compile(source, "<action language>", "exec"), namespace)
+        function = namespace["_compiled"]
+        _CODE_TABLE[source] = function
+        # each step is atomic, so threads that compile at once only trim
+        # the table to its bound again
+        while len(_CODE_TABLE) > CODE_TABLE_BOUND:
+            try:
+                _CODE_TABLE.popitem(last=False)
+            except KeyError:
+                break
+    return function

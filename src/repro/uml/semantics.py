@@ -23,6 +23,11 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from repro.errors import ActionRuntimeError
 
+#: version of the meaning defined here.  Bump it with any change to what a
+#: model computes (an operator, a builtin, the integer width), so that
+#: results stored under the old meaning are never served again.
+SEMANTICS_VERSION = 1
+
 #: ``rand16`` state at the start of every run-to-completion step and guard
 RAND16_SEED = 0x2F6E
 

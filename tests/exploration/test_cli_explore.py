@@ -9,6 +9,7 @@ Failures print a one-line footer in text output and land in the
 from __future__ import annotations
 
 import json
+import signal
 
 from repro.__main__ import main
 
@@ -41,6 +42,26 @@ class TestExitCodeContract:
 
     def test_bad_policy_rejected(self, capsys):
         assert main(EXPLORE + ["--timeout", "0"]) != 0
+
+
+class TestTimeoutLedger:
+    def test_timed_out_worker_is_ledgered_as_sigterm_death(self, capsys):
+        # workers drop the CLI's SIGTERM -> KeyboardInterrupt handler, so a
+        # worker killed at its deadline dies by the signal, as it does
+        # under run_candidates
+        code = main(
+            EXPLORE
+            + ["--workers", "2", "--timeout", "1", "--format", "json",
+               "--inject-worker-fault", "1:hang"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        block = json.loads(captured.out)["results"]["supervisor"]
+        assert block["timeouts"] == 1
+        [failure] = block["failures"]
+        assert failure["kind"] == "timeout"
+        assert failure["exitcode"] == -signal.SIGTERM
 
 
 class TestJsonSupervisorBlock:

@@ -23,6 +23,7 @@ from repro.exploration import (
     run_candidates,
 )
 from repro.faults import fault_sweep_specs
+from repro.uml.semantics import SEMANTICS_VERSION
 
 from tests.conftest import build_pingpong, build_two_cpu_platform
 
@@ -106,6 +107,36 @@ class TestCache:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
         assert cache.load(spec) is None
+
+    def test_entry_of_another_semantics_version_is_a_miss(self, tmp_path):
+        cache_dir = str(tmp_path)
+        specs = fault_free_specs()
+        cold = run_candidates(specs, workers=0, cache_dir=cache_dir)
+        cache = ResultCache(cache_dir)
+        stale, unversioned = specs[0], specs[1]
+        for spec, rewrite in (
+            (stale, lambda entry: entry.update(semantics=SEMANTICS_VERSION + 1)),
+            (unversioned, lambda entry: entry.pop("semantics")),
+        ):
+            path = cache.path_for(spec.digest())
+            with open(path, encoding="utf-8") as handle:
+                entry = json.load(handle)
+            assert entry["semantics"] == SEMANTICS_VERSION
+            rewrite(entry)
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(entry, handle)
+            assert cache.load(spec) is None
+        warm = run_candidates(specs, workers=0, cache_dir=cache_dir)
+        assert sorted(o.index for o in warm.outcomes if not o.cached) == [0, 1]
+        assert result_hashes(warm) == result_hashes(cold)
+        assert [o.spec.digest() for o in warm.ranking()] == [
+            o.spec.digest() for o in cold.ranking()
+        ]
+        # the re-evaluated entries were overwritten under this version
+        for spec in (stale, unversioned):
+            with open(cache.path_for(spec.digest()), encoding="utf-8") as handle:
+                assert json.load(handle)["semantics"] == SEMANTICS_VERSION
+        assert run_candidates(specs, workers=0, cache_dir=cache_dir).evaluated == 0
 
     def test_digest_is_content_addressed(self):
         specs = fault_free_specs()

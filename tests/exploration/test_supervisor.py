@@ -9,6 +9,12 @@ quarantine each get direct coverage.
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
 from repro.errors import ExplorationError
@@ -18,6 +24,9 @@ from repro.exploration import (
     parse_worker_faults,
     run_candidates,
 )
+from repro.exploration import engine
+from repro.exploration import supervisor as supervisor_module
+from repro.exploration.engine import _pool_context
 from repro.exploration.supervisor import (
     FAILURE_CRASH,
     FAILURE_ERROR,
@@ -28,6 +37,10 @@ from repro.exploration.supervisor import (
 )
 
 from tests.exploration.test_engine import fault_free_specs, result_hashes
+
+REPO_ROOT = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
+)
 
 
 def fast_config(**overrides):
@@ -309,3 +322,236 @@ class TestGracefulDegradation:
         # the engine exposes the flag so the CLI/flow can report it
         run = run_candidates(fault_free_specs(), workers=0)
         assert run.to_json_dict()["supervisor"]["degraded_to_serial"] is False
+
+
+def _exited(pid):
+    """True once ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            # the state follows the parenthesised command name
+            return handle.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+    except OSError:
+        pass
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _wait_exited(pids, deadline_s=10.0):
+    deadline = time.monotonic() + deadline_s
+    while time.monotonic() < deadline:
+        if all(_exited(pid) for pid in pids):
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def _ledger(run):
+    return [
+        (f.index, f.attempt, f.kind, f.backoff_s, f.exitcode) for f in run.failures
+    ]
+
+
+class TestWorkerLifecycle:
+    """One long-lived worker per slot, replaced only when it dies."""
+
+    def test_clean_campaign_starts_one_worker_per_slot(self):
+        specs = fault_free_specs()
+        assert len(specs) > 2
+        run = run_candidates(specs, workers=2, supervisor=fast_config())
+        pids = run.supervisor_stats.spawned_pids
+        assert len(pids) == 2
+        assert result_hashes(run) == result_hashes(run_candidates(specs, workers=0))
+        # no worker outlives the campaign
+        assert all(_exited(pid) for pid in pids)
+
+    def test_crash_starts_exactly_one_replacement(self):
+        specs = fault_free_specs()
+        plan = WorkerFaultPlan.make({0: ["crash"]})
+        serial = run_candidates(
+            specs, workers=0, supervisor=fast_config(), worker_faults=plan
+        )
+        run = run_candidates(
+            specs, workers=1, supervisor=fast_config(), worker_faults=plan
+        )
+        # the crashed worker's successor evaluates every later candidate
+        assert len(run.supervisor_stats.spawned_pids) == 2
+        assert run.evaluated == len(specs)
+        assert result_hashes(run) == result_hashes(serial)
+        assert _ledger(run) == [
+            (0, 1, FAILURE_CRASH, serial.failures[0].backoff_s, 137)
+        ]
+        assert [f.exitcode for f in serial.failures] == [None]
+
+    def test_timeout_kill_starts_exactly_one_replacement(self):
+        specs = fault_free_specs()
+        plan = WorkerFaultPlan.make({1: ["hang"]}, hang_s=30.0)
+        serial = run_candidates(
+            specs, workers=0, supervisor=fast_config(), worker_faults=plan
+        )
+        run = run_candidates(
+            specs,
+            workers=1,
+            supervisor=fast_config(timeout_s=1.0),
+            worker_faults=plan,
+        )
+        assert len(run.supervisor_stats.spawned_pids) == 2
+        assert run.evaluated == len(specs)
+        assert result_hashes(run) == result_hashes(serial)
+        assert _ledger(run) == [
+            (1, 1, FAILURE_TIMEOUT, serial.failures[0].backoff_s, -signal.SIGTERM)
+        ]
+        assert [o.attempts for o in run.outcomes] == [1, 2] + [1] * (len(specs) - 2)
+
+    def test_error_keeps_the_worker(self):
+        plan = WorkerFaultPlan.make({0: ["flaky"], 2: ["flaky", "flaky"]})
+        specs = fault_free_specs()
+        serial = run_candidates(
+            specs, workers=0, supervisor=fast_config(), worker_faults=plan
+        )
+        run = run_candidates(
+            specs, workers=1, supervisor=fast_config(), worker_faults=plan
+        )
+        assert len(run.supervisor_stats.spawned_pids) == 1
+        assert result_hashes(run) == result_hashes(serial)
+        assert _ledger(run) == _ledger(serial)
+
+    def test_exit_request_ends_the_worker_as_a_crash(self, monkeypatch, tmp_path):
+        specs = fault_free_specs()
+        victim = specs[1].digest()
+        marker = tmp_path / "exited"
+        evaluate_spec = engine.evaluate_spec
+
+        def exit_once(spec, checkpointer=None):
+            # forked workers inherit this patch; the marker file makes only
+            # the victim's first attempt exit
+            if spec.digest() == victim and not marker.exists():
+                marker.touch()
+                raise SystemExit(5)
+            return evaluate_spec(spec, checkpointer=checkpointer)
+
+        monkeypatch.setattr(engine, "evaluate_spec", exit_once)
+        run = run_candidates(specs, workers=1, supervisor=fast_config())
+        assert len(run.supervisor_stats.spawned_pids) == 2
+        assert [(f.index, f.kind, f.exitcode) for f in run.failures] == [
+            (1, FAILURE_CRASH, 5)
+        ]
+        assert run.evaluated == len(specs)
+
+    def test_no_worker_outlives_an_exception(self):
+        boss = Supervisor(context=_pool_context(), workers=2, config=fast_config())
+
+        def on_success(index, result, elapsed, attempts, failures):
+            raise RuntimeError("progress sink failed")
+
+        with pytest.raises(RuntimeError):
+            boss.run(list(enumerate(fault_free_specs())), on_success)
+        assert boss.stats.spawned_pids
+        assert not boss.pool
+        assert all(_exited(pid) for pid in boss.stats.spawned_pids)
+
+    def test_no_idle_worker_outlives_a_keyboard_interrupt(self, monkeypatch):
+        specs = fault_free_specs()
+        # the last candidate fails once and backs off for a minute, so the
+        # supervisor sleeps with every worker idle
+        boss = Supervisor(
+            context=_pool_context(),
+            workers=2,
+            config=SupervisorConfig(backoff_base_s=60.0, backoff_jitter_s=0.0),
+            worker_faults=WorkerFaultPlan.make({len(specs) - 1: ["flaky"]}),
+        )
+        idle = []
+
+        def interrupted_sleep(seconds):
+            idle.append([_exited(pid) for pid in boss.stats.spawned_pids])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(supervisor_module.time, "sleep", interrupted_sleep)
+        with pytest.raises(KeyboardInterrupt):
+            boss.run(list(enumerate(specs)), lambda *args: None)
+        assert idle == [[False, False]]
+        assert all(_exited(pid) for pid in boss.stats.spawned_pids)
+
+
+#: Script: a 2-worker campaign whose last candidate backs off for a minute;
+#: while both workers sit idle it prints their pids and waits to be killed.
+IDLE_CAMPAIGN = """\
+import time
+
+from repro.exploration import SupervisorConfig, WorkerFaultPlan
+from repro.exploration.engine import _pool_context
+from repro.exploration.supervisor import Supervisor
+from tests.exploration.test_engine import fault_free_specs
+
+specs = fault_free_specs()
+boss = Supervisor(
+    context=_pool_context(),
+    workers=2,
+    config=SupervisorConfig(backoff_base_s=60.0, backoff_jitter_s=0.0),
+    worker_faults=WorkerFaultPlan.make({len(specs) - 1: ["flaky"]}),
+)
+real_sleep = time.sleep
+
+
+def announce_and_sleep(seconds):
+    print(" ".join(str(pid) for pid in boss.stats.spawned_pids), flush=True)
+    real_sleep(seconds)
+
+
+time.sleep = announce_and_sleep
+boss.run(list(enumerate(specs)), lambda *args: None)
+"""
+
+
+def _start_idle_campaign(tmp_path):
+    script = tmp_path / "campaign.py"
+    script.write_text(IDLE_CAMPAIGN, encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(REPO_ROOT, "src"), REPO_ROOT])
+    process = subprocess.Popen(
+        [sys.executable, str(script)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+        start_new_session=True,
+    )
+    line = process.stdout.readline()
+    pids = [int(pid) for pid in line.split()]
+    if len(pids) != 2:
+        process.kill()
+        pytest.fail(f"the campaign reported no idle workers: {line!r} {process.stderr.read()}")
+    return process, pids
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+class TestIdleWorkersAlone:
+    def test_idle_worker_exits_when_parent_is_killed(self, tmp_path):
+        process, pids = _start_idle_campaign(tmp_path)
+        try:
+            assert not any(_exited(pid) for pid in pids)
+            process.kill()
+            process.wait(timeout=10)
+            # nothing holds a task pipe's write end any more: each worker
+            # reads EOF and exits
+            assert _wait_exited(pids), "an idle worker outlived its parent"
+        finally:
+            for pid in pids:
+                if not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_idle_worker_exits_quietly_on_sigint(self, tmp_path):
+        process, pids = _start_idle_campaign(tmp_path)
+        try:
+            os.kill(pids[0], signal.SIGINT)
+            assert _wait_exited(pids[:1])
+        finally:
+            process.kill()
+            _, stderr = process.communicate(timeout=10)
+            _wait_exited(pids)
+        assert "Traceback" not in stderr, stderr

@@ -9,13 +9,17 @@ statement counts and errors under both.
 """
 
 import random
+import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
 from repro.analysis.core import const_value
 from repro.errors import ActionRuntimeError
-from repro.simulation import ProcessExecutor
+from repro.cases.tutwlan import build_tutwlan_system
+from repro.simulation import ProcessExecutor, SystemSimulation
 from repro.uml import ActionEnvironment, evaluate, execute, parse_actions, parse_expression
 from repro.uml.actions import (
     MAX_LOOP_ITERATIONS,
@@ -33,7 +37,8 @@ from repro.uml.actions import (
     UnaryOp,
     While,
 )
-from repro.uml.compile import CACHE_ATTRIBUTE
+from repro.uml import compile as compile_module
+from repro.uml.compile import CACHE_ATTRIBUTE, CODE_TABLE_BOUND, compiled
 from repro.uml.statemachine import StateMachine
 from repro.util.crc import crc32_of_int
 
@@ -480,3 +485,87 @@ def test_reassigning_an_effect_recompiles_it():
     transition.effect = parse_actions("x = x + 100;")
     executor.consume_signal("go", [])
     assert executor.variables["x"] == 201
+
+
+def test_new_text_compiles_anew_and_equal_text_shares_the_function():
+    machine = StateMachine("M")
+    machine.variable("x", 0)
+    machine.state("s", initial=True)
+    transition = machine.on_signal("s", "s", "go", effect="x = x + 1;", internal=True)
+    first = compiled(transition.effect, transition)
+    transition.effect = parse_actions("x = x + 2;")
+    second = compiled(transition.effect, transition)
+    assert second is not first
+    transition.effect = parse_actions("x = x + 1;")
+    assert compiled(transition.effect, transition) is first
+
+
+def _code_owners(application):
+    """``(key, owner, code)`` for every non-empty block and guard of a model."""
+    for name, process in sorted(application.processes.items()):
+        machine = process.behavior
+        for position, owner in enumerate(machine.states + machine.transitions):
+            for attribute in ("guard", "effect", "entry", "exit"):
+                code = getattr(owner, attribute, None)
+                if code:
+                    yield (name, position, attribute), owner, code
+
+
+def test_independent_tutmac_builds_share_compiled_functions():
+    functions = []
+    for _ in range(2):
+        application, platform, mapping = build_tutwlan_system()
+        SystemSimulation(application, platform, mapping).run(20_000)
+        functions.append(
+            {
+                key: vars(owner)[CACHE_ATTRIBUTE][id(code)][1]
+                for key, owner, code in _code_owners(application)
+                if id(code) in vars(owner).get(CACHE_ATTRIBUTE, {})
+            }
+        )
+    first, second = functions
+    assert len(first) > 20 and first.keys() == second.keys()
+    assert all(second[key] is function for key, function in first.items())
+
+
+def test_code_table_stays_within_its_bound(monkeypatch):
+    table = OrderedDict()
+    monkeypatch.setattr(compile_module, "_CODE_TABLE", table)
+    expressions = [parse_expression(f"x + {n}") for n in range(CODE_TABLE_BOUND + 50)]
+    functions = [compiled(expr) for expr in expressions]
+    assert len(table) == CODE_TABLE_BOUND
+    # the oldest functions were dropped first; the newest are served
+    assert compiled(parse_expression("x + 0")) is not functions[0]
+    assert compiled(expressions[-1]) is functions[-1]
+    assert len(table) == CODE_TABLE_BOUND
+    env = ActionEnvironment({"x": 1})
+    assert evaluate(expressions[0], env) == 1
+
+
+def test_code_table_bound_holds_under_threads(monkeypatch):
+    # more threads than cores compile overlapping sets of blocks with a
+    # tiny bound and a short switch interval; every function must compute
+    # its own block and the table must end within its bound
+    monkeypatch.setattr(compile_module, "_CODE_TABLE", OrderedDict())
+    monkeypatch.setattr(compile_module, "CODE_TABLE_BOUND", 8)
+    wrong = []
+
+    def compile_many(offset):
+        for n in range(offset, offset + 200):
+            expr = parse_expression(f"x * 3 + {n % 40}")
+            if compiled(expr)({"x": 2}, {}, None) != 6 + n % 40:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=compile_many, args=(k * 7,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(compile_module._CODE_TABLE) <= 8
